@@ -94,7 +94,6 @@ fn bench_evi_purge(c: &mut Criterion) {
 /// same batch/cache scale as the Algorithm 1/2 benches, so the extra cost
 /// of retrospection is directly comparable.
 fn bench_retro(c: &mut Criterion) {
-    use gc_core::validator::refresh_all_retro;
     use gc_dataset::RetroAnalyzer;
 
     let recs = records(20, 40_000, 5);
@@ -107,7 +106,7 @@ fn bench_retro(c: &mut Criterion) {
     c.bench_function("retro_refresh_cache120_span40k", |b| {
         b.iter_batched(
             || cache.clone(),
-            |mut cache| refresh_all_retro(cache.iter_mut(), &effects, 40_000),
+            |mut cache| refresh_all(cache.iter_mut(), &effects, 40_000),
             criterion::BatchSize::LargeInput,
         )
     });

@@ -43,11 +43,12 @@ use std::time::Instant;
 use gc_bench::report::{f1, f2, pct, spx, Table};
 use gc_bench::{
     build_all_workloads, build_dataset, build_plan, build_type_a_workloads, build_type_b_workloads,
-    run_fig4, run_fig5, run_fig6, run_insights, Scale,
+    run_fig4, run_fig5, run_fig6, run_insights, Mode, Scale,
 };
+use gc_core::FaultPlan;
 use gc_graph::stats::DatasetStats;
 use gc_subiso::Algorithm;
-use gc_telemetry::{HistogramSnapshot, StageSpans};
+use gc_telemetry::{HistogramSnapshot, Stage, StageSpans};
 
 fn usage() -> ! {
     eprintln!(
@@ -128,11 +129,11 @@ fn main() {
         if net {
             net_chaos(scale, &out_path);
         } else if index_diff {
-            index_diff_chaos(scale, &out_path);
+            chaos(Mode::IndexDiff, scale, &out_path);
         } else if repair_diff {
-            repair_diff_chaos(scale, &out_path);
+            chaos(Mode::RepairDiff, scale, &out_path);
         } else {
-            chaos(scale, &out_path);
+            chaos(Mode::Chaos, scale, &out_path);
         }
         return;
     }
@@ -217,278 +218,211 @@ fn bench_subiso(quick: bool, out_path: &str) {
     println!("wrote {out_path}");
 }
 
-fn chaos(scale: Scale, out_path: &str) {
-    let mut cfg = gc_bench::ChaosConfig::new(scale);
-    match gc_core::FaultPlan::from_env() {
-        Ok(Some(plan)) => cfg.fault_plan = plan,
-        Ok(None) => {}
+/// The fault plan of a chaos run: `GC_FAULT_PLAN` when set, else
+/// `default`. Exits with code 2 on a malformed plan.
+fn fault_plan_from_env(default: FaultPlan) -> FaultPlan {
+    match FaultPlan::from_env() {
+        Ok(plan) => plan.unwrap_or(default),
         Err(e) => {
             eprintln!("invalid GC_FAULT_PLAN: {e}");
             std::process::exit(2);
         }
     }
-    println!(
-        "# Chaos suite — {} graphs, {} queries/workload, deadline {} ms\nfault plan: {}\n",
-        cfg.scale.dataset_graphs,
-        cfg.scale.num_queries,
-        cfg.deadline.as_millis(),
-        cfg.fault_plan
-    );
+}
+
+/// Writes a run's artifact; exits with code 1 when it cannot.
+fn write_artifact(path: &str, json: String) {
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("cannot write artifact '{path}': {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
+}
+
+/// Exits with code 1 and `failure` unless the run passed.
+fn exit_unless(passed: bool, failure: &str) {
+    if !passed {
+        eprintln!("{failure}");
+        std::process::exit(1);
+    }
+}
+
+fn chaos(mode: Mode, scale: Scale, out_path: &str) {
+    let mut cfg = gc_bench::ChaosConfig::new(scale);
+    cfg.fault_plan = fault_plan_from_env(cfg.fault_plan);
+    let (graphs, queries) = (cfg.scale.dataset_graphs, cfg.scale.num_queries);
+    let plan = &cfg.fault_plan;
+    match mode {
+        Mode::Chaos => println!(
+            "# Chaos suite — {graphs} graphs, {queries} queries/workload, deadline {} ms\n\
+             fault plan: {plan}\n",
+            cfg.deadline.as_millis()
+        ),
+        Mode::IndexDiff => println!(
+            "# Candidate-source differential chaos — {graphs} graphs, {queries} queries/workload\n\
+             postings-index default vs paper full scan, both under fault plan: {plan}\n"
+        ),
+        Mode::RepairDiff => println!(
+            "# Maintenance-mode differential chaos — {graphs} graphs, {queries} queries/workload\n\
+             delta-repair default vs invalidate-only oracle, both under fault plan: {plan}\n"
+        ),
+    }
     let t0 = Instant::now();
-    let report = gc_bench::run_chaos(&cfg);
-    let mut t = Table::new(
-        "Chaos verdicts: faulted GC+ vs fault-free oracle",
-        &[
-            "workload",
-            "queries",
-            "updates",
-            "exact",
-            "degraded",
-            "divergent",
-            "max deadline ratio",
-            "p99 ms",
-            "panics contained",
-            "audit repairs",
-            "quarantined at end",
-            "verdict",
-        ],
-    );
+    let report = gc_bench::run_chaos(&cfg, mode);
+    let (title, mode_headers): (&str, &[&str]) = match mode {
+        Mode::Chaos => (
+            "Chaos verdicts: faulted GC+ vs fault-free oracle",
+            &[
+                "max deadline ratio",
+                "p99 ms",
+                "panics contained",
+                "audit repairs",
+                "quarantined at end",
+            ],
+        ),
+        Mode::IndexDiff => (
+            "Index-diff verdicts: index-backed vs scan-backed under identical faults",
+            &[
+                "audit diverg.",
+                "cand. index",
+                "cand. scan",
+                "panics idx/scan",
+            ],
+        ),
+        Mode::RepairDiff => (
+            "Repair-diff verdicts: delta-repair vs invalidate-only under identical faults",
+            &[
+                "audit diverg.",
+                "repairs",
+                "inval. avoided",
+                "fallbacks",
+                "maint. ms",
+                "panics rep/inv",
+            ],
+        ),
+    };
+    let mut headers = vec![
+        "workload",
+        "queries",
+        "updates",
+        "exact",
+        "degraded",
+        "divergent",
+    ];
+    headers.extend(mode_headers);
+    headers.push("verdict");
+    let mut t = Table::new(title, &headers);
     for c in &report.cells {
-        t.row(vec![
+        let [a, b] = &c.health;
+        let panics = format!("{}/{}", a.panics_recovered, b.panics_recovered);
+        let mut row = vec![
             c.workload.clone(),
             c.queries.to_string(),
             c.updates.to_string(),
             c.exact.to_string(),
             c.degraded.to_string(),
             c.divergent.to_string(),
-            f2(c.max_overrun),
-            f2(c.latency.p99() as f64 / 1000.0),
-            c.panics_recovered.to_string(),
-            c.audit_total.repaired.to_string(),
-            c.quarantined_final.to_string(),
-            if c.passed() { "ok" } else { "FAIL" }.to_string(),
-        ]);
+        ];
+        row.extend(match mode {
+            Mode::Chaos => vec![
+                f2(c.max_overrun),
+                f2(c.latency.p99() as f64 / 1000.0),
+                a.panics_recovered.to_string(),
+                c.audit_total.repaired.to_string(),
+                c.quarantined[0].to_string(),
+            ],
+            Mode::IndexDiff => vec![
+                c.audit_divergent.to_string(),
+                c.candidates[0].to_string(),
+                c.candidates[1].to_string(),
+                panics,
+            ],
+            Mode::RepairDiff => vec![
+                c.audit_divergent.to_string(),
+                a.repairs_applied.to_string(),
+                a.invalidations_avoided.to_string(),
+                a.repair_fallbacks.to_string(),
+                f2(c.stages.get(Stage::Repair) as f64 / 1e6),
+                panics,
+            ],
+        });
+        row.push(if c.passed { "ok" } else { "FAIL" }.to_string());
+        t.row(row);
     }
     println!("{}", t.render());
 
-    // fold the per-cell telemetry into suite-wide health + tail latency
     let mut health = gc_core::HealthSnapshot::default();
     let mut latency = HistogramSnapshot::default();
     let mut stages = StageSpans::default();
+    let (mut index, mut scan) = (0u64, 0u64);
     for c in &report.cells {
-        health.merge(&c.health);
+        health.merge(&c.health[0]);
         latency.merge(&c.latency);
         stages.merge(&c.stages);
+        index += c.candidates[0];
+        scan += c.candidates[1];
     }
-    println!(
-        "health: {} panics contained, {} entries quarantined, {} degraded queries, \
-         {} audit repairs, {} audit evictions",
-        health.panics_recovered,
-        health.quarantined_entries,
-        health.degraded_queries,
-        health.audit_repairs,
-        health.audit_evictions
-    );
-    println!(
-        "latency (faulted side): p50 {} µs, p95 {} µs, p99 {} µs, max {} µs over {} queries",
-        latency.p50(),
-        latency.p95(),
-        latency.p99(),
-        latency.max(),
-        latency.count
-    );
-    print_stages(&stages);
-    println!("wall time: {:.1}s", t0.elapsed().as_secs_f64());
-    if let Err(e) = std::fs::write(out_path, report.to_json()) {
-        eprintln!("cannot write chaos artifact '{out_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-    if !report.passed() {
-        eprintln!(
+    let failure = match mode {
+        Mode::Chaos => {
+            // fold the per-cell telemetry into suite-wide health + tail latency
+            println!(
+                "health: {} panics contained, {} entries quarantined, {} degraded queries, \
+                 {} audit repairs, {} audit evictions",
+                health.panics_recovered,
+                health.quarantined_entries,
+                health.degraded_queries,
+                health.audit_repairs,
+                health.audit_evictions
+            );
+            println!(
+                "latency (faulted side): p50 {} µs, p95 {} µs, p99 {} µs, max {} µs over {} queries",
+                latency.p50(),
+                latency.p95(),
+                latency.p99(),
+                latency.max(),
+                latency.count
+            );
+            print_stages(&stages);
             "chaos suite FAILED: silent divergence, deadline overrun, or leftover quarantine"
-        );
-        std::process::exit(1);
-    }
-}
-
-fn index_diff_chaos(scale: Scale, out_path: &str) {
-    let mut cfg = gc_bench::ChaosConfig::new(scale);
-    match gc_core::FaultPlan::from_env() {
-        Ok(Some(plan)) => cfg.fault_plan = plan,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("invalid GC_FAULT_PLAN: {e}");
-            std::process::exit(2);
         }
-    }
-    println!(
-        "# Candidate-source differential chaos — {} graphs, {} queries/workload\n\
-         postings-index default vs paper full scan, both under fault plan: {}\n",
-        cfg.scale.dataset_graphs, cfg.scale.num_queries, cfg.fault_plan
-    );
-    let t0 = Instant::now();
-    let report = gc_bench::run_index_diff(&cfg);
-    let mut t = Table::new(
-        "Index-diff verdicts: index-backed vs scan-backed under identical faults",
-        &[
-            "workload",
-            "queries",
-            "updates",
-            "exact",
-            "degraded",
-            "divergent",
-            "audit diverg.",
-            "cand. index",
-            "cand. scan",
-            "panics idx/scan",
-            "verdict",
-        ],
-    );
-    for c in &report.cells {
-        t.row(vec![
-            c.workload.clone(),
-            c.queries.to_string(),
-            c.updates.to_string(),
-            c.exact.to_string(),
-            c.degraded.to_string(),
-            c.divergent.to_string(),
-            c.audit_divergent.to_string(),
-            c.index_candidates.to_string(),
-            c.scan_candidates.to_string(),
-            format!("{}/{}", c.panics_indexed, c.panics_scanned),
-            if c.passed() { "ok" } else { "FAIL" }.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    let (idx, scan): (u64, u64) = report.cells.iter().fold((0, 0), |(a, b), c| {
-        (a + c.index_candidates, b + c.scan_candidates)
-    });
-    println!(
-        "candidate work: index-backed examined {} candidates vs {} for the full scan \
-         ({:.1}% of CS_M pruned before any sub-iso test)",
-        idx,
-        scan,
-        if scan > 0 {
-            (scan - scan.min(idx)) as f64 / scan as f64 * 100.0
-        } else {
-            0.0
-        }
-    );
-    println!("wall time: {:.1}s", t0.elapsed().as_secs_f64());
-    if let Err(e) = std::fs::write(out_path, report.to_json()) {
-        eprintln!("cannot write index-diff artifact '{out_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-    if !report.passed() {
-        eprintln!(
+        Mode::IndexDiff => {
+            println!(
+                "candidate work: index-backed examined {index} candidates vs {scan} for the full \
+                 scan ({:.1}% of CS_M pruned before any sub-iso test)",
+                if scan > 0 {
+                    (scan - scan.min(index)) as f64 / scan as f64 * 100.0
+                } else {
+                    0.0
+                }
+            );
             "index-diff FAILED: answer or audit divergence between the candidate sources, \
              an index that grew CS_M, mismatched panic containment, leftover quarantine, \
              or a rebuilt (non-incremental) index"
-        );
-        std::process::exit(1);
-    }
-}
-
-fn repair_diff_chaos(scale: Scale, out_path: &str) {
-    let mut cfg = gc_bench::ChaosConfig::new(scale);
-    match gc_core::FaultPlan::from_env() {
-        Ok(Some(plan)) => cfg.fault_plan = plan,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("invalid GC_FAULT_PLAN: {e}");
-            std::process::exit(2);
         }
-    }
-    println!(
-        "# Maintenance-mode differential chaos — {} graphs, {} queries/workload\n\
-         delta-repair default vs invalidate-only oracle, both under fault plan: {}\n",
-        cfg.scale.dataset_graphs, cfg.scale.num_queries, cfg.fault_plan
-    );
-    let t0 = Instant::now();
-    let report = gc_bench::run_repair_diff(&cfg);
-    let mut t = Table::new(
-        "Repair-diff verdicts: delta-repair vs invalidate-only under identical faults",
-        &[
-            "workload",
-            "queries",
-            "updates",
-            "exact",
-            "degraded",
-            "divergent",
-            "audit diverg.",
-            "repairs",
-            "inval. avoided",
-            "fallbacks",
-            "maint. ms",
-            "panics rep/inv",
-            "verdict",
-        ],
-    );
-    for c in &report.cells {
-        t.row(vec![
-            c.workload.clone(),
-            c.queries.to_string(),
-            c.updates.to_string(),
-            c.exact.to_string(),
-            c.degraded.to_string(),
-            c.divergent.to_string(),
-            c.audit_divergent.to_string(),
-            c.repairs_applied.to_string(),
-            c.invalidations_avoided.to_string(),
-            c.repair_fallbacks.to_string(),
-            f2(c.repair_nanos as f64 / 1e6),
-            format!("{}/{}", c.panics_repair, c.panics_oracle),
-            if c.passed() { "ok" } else { "FAIL" }.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    let (repairs, avoided, fallbacks) = report.cells.iter().fold((0u64, 0u64, 0u64), |acc, c| {
-        (
-            acc.0 + c.repairs_applied,
-            acc.1 + c.invalidations_avoided,
-            acc.2 + c.repair_fallbacks,
-        )
-    });
-    println!(
-        "maintenance work: {} validity bits spliced, {} invalidations avoided, \
-         {} budget fallbacks across the suite",
-        repairs, avoided, fallbacks
-    );
-    println!("wall time: {:.1}s", t0.elapsed().as_secs_f64());
-    if let Err(e) = std::fs::write(out_path, report.to_json()) {
-        eprintln!("cannot write repair-diff artifact '{out_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-    if !report.passed() {
-        eprintln!(
+        Mode::RepairDiff => {
+            println!(
+                "maintenance work: {} validity bits spliced, {} invalidations avoided, \
+                 {} budget fallbacks across the suite",
+                health.repairs_applied, health.invalidations_avoided, health.repair_fallbacks
+            );
             "repair-diff FAILED: answer or audit divergence between the maintenance modes, \
              repair activity on the invalidate-only oracle, mismatched panic containment, \
              or leftover quarantine"
-        );
-        std::process::exit(1);
-    }
-    if report.total_invalidations_avoided() == 0 {
-        eprintln!(
-            "repair-diff FAILED: the repair path never avoided an invalidation — \
-             the differential proved nothing at this scale/plan"
-        );
-        std::process::exit(1);
-    }
+        }
+    };
+    println!("wall time: {:.1}s", t0.elapsed().as_secs_f64());
+    write_artifact(out_path, report.to_json());
+    exit_unless(report.passed(), failure);
+    exit_unless(
+        mode != Mode::RepairDiff || report.total_invalidations_avoided() > 0,
+        "repair-diff FAILED: the repair path never avoided an invalidation — \
+         the differential proved nothing at this scale/plan",
+    );
 }
 
 fn net_chaos(scale: Scale, out_path: &str) {
     let mut cfg = gc_bench::NetChaosConfig::new(scale);
-    match gc_core::FaultPlan::from_env() {
-        Ok(Some(plan)) => cfg.fault_plan = plan,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("invalid GC_FAULT_PLAN: {e}");
-            std::process::exit(2);
-        }
-    }
+    cfg.fault_plan = fault_plan_from_env(cfg.fault_plan);
     println!(
         "# Networked chaos — {} shards, {} clients x {} queries/storm, deadline {} ms\nfault plan: {}\n",
         cfg.shards,
@@ -620,25 +554,14 @@ fn net_chaos(scale: Scale, out_path: &str) {
         report.health.degraded_queries
     );
     println!("wall time: {:.1}s", t0.elapsed().as_secs_f64());
-    if let Err(e) = std::fs::write(out_path, report.to_json()) {
-        eprintln!("cannot write chaos artifact '{out_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-    let metrics_path = "METRICS_report.json";
-    if let Err(e) = std::fs::write(metrics_path, report.metrics_json()) {
-        eprintln!("cannot write metrics artifact '{metrics_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {metrics_path}");
-    if !report.passed() {
-        eprintln!(
-            "net chaos FAILED: silent divergence, hung request, missing failover coverage, \
-             a shard left unhealthy after audit, or a stats scrape that does not reconcile \
-             with the request ledger"
-        );
-        std::process::exit(1);
-    }
+    write_artifact(out_path, report.to_json());
+    write_artifact("METRICS_report.json", report.metrics_json());
+    exit_unless(
+        report.passed(),
+        "net chaos FAILED: silent divergence, hung request, missing failover coverage, \
+         a shard left unhealthy after audit, or a stats scrape that does not reconcile \
+         with the request ledger",
+    );
 }
 
 /// Prints the pipeline-stage time breakdown of a [`StageSpans`] total.

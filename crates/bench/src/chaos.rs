@@ -1,37 +1,55 @@
-//! The chaos harness — fault-tolerant execution, empirically enforced.
+//! The differential harness — fault tolerance and pipeline equivalence,
+//! empirically enforced.
 //!
-//! [`run_chaos`] replays the paper's Type A and Type B workloads under a
-//! deterministic [`FaultPlan`] (injected update/query panics, delays and
-//! silent answer-set corruption) while a fault-free oracle instance runs
-//! the identical query/change stream. Three properties are checked, query
-//! by query:
+//! [`differential`] replays one paper workload and its change plan on two
+//! [`GraphCachePlus`] instances side by side and compares them query by
+//! query. Each planned change is materialized once, against side A's
+//! store, by `gc_dataset::materialize` with a salted RNG, and the same
+//! concrete operation is applied to both sides. A *faulted* side fires the
+//! [`FaultPlan`] (update/query panics, delays, silent answer-set
+//! corruption) through the panic boundaries and is audited after every
+//! update burst and once more at the end. Every replay checks:
 //!
-//! 1. **no silent divergence** — every answer either equals the oracle's
-//!    or is explicitly tagged degraded (and even then must be a sound
-//!    subset of the oracle answer);
-//! 2. **bounded deadlines** — no query may overrun its wall-clock budget
-//!    by more than 2× (one retry after a contained panic is the worst
-//!    legitimate case);
-//! 3. **quarantine drains** — after the final auditor pass, zero entries
-//!    remain quarantined.
+//! 1. **no silent divergence** — the two answers are equal, or a side is
+//!    explicitly degraded and its answer is a sound subset of the other
+//!    side's (checked in both directions);
+//! 2. **identical audits** — when both sides are audited, their verdicts
+//!    agree pass by pass;
+//! 3. **quarantine drains** — after the final audit no entry is left
+//!    quarantined on either side.
+//!
+//! A [`Mode`] picks the two sides and plugs in its own checks:
+//!
+//! * [`Mode::Chaos`] — the default pipeline under the fault plan and a
+//!   wall-clock deadline against a fault-free, unlimited oracle; no query
+//!   may overrun its deadline by more than 2× (one retry after a contained
+//!   panic is the worst legitimate case);
+//! * [`Mode::IndexDiff`] — postings-index vs full-scan candidate source,
+//!   both faulted: the index may never grow CS_M, both sides must contain
+//!   the same panics, and the index must absorb every change by log replay;
+//! * [`Mode::RepairDiff`] — delta-repair vs invalidate-only maintenance,
+//!   both faulted: both sides must contain the same panics, and the
+//!   invalidate side must show no repair activity.
 //!
 //! The driver is fully seeded: the same scale + fault plan replays the
 //! same faults at the same points in the same streams. The `experiments
-//! chaos` CLI command wraps this module and emits `CHAOS_report.json`.
+//! chaos` CLI command wraps this module and writes `CHAOS_report.json`,
+//! `CHAOS_indexdiff.json` or `CHAOS_repairdiff.json`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gc_core::{
     AuditReport, CandidateSource, FaultInjector, FaultPlan, GcConfig, GraphCachePlus,
-    HealthSnapshot, MaintenanceMode, QueryBudget,
+    HealthSnapshot, MaintenanceMode, QueryBudget, QueryOutcome,
 };
-use gc_dataset::{ChangeOp, ChangePlan, GraphStore, OpType};
+use gc_dataset::{materialize, ChangePlan};
 use gc_graph::LabeledGraph;
+use gc_subiso::quiet_injected_panics;
 use gc_telemetry::{Histogram, HistogramSnapshot, Stage, StageSpans};
 use gc_workload::Workload;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::{build_dataset, build_plan, build_type_a_workloads, build_type_b_workloads, Scale};
 
@@ -71,65 +89,222 @@ pub fn default_fault_plan() -> FaultPlan {
         .expect("built-in fault plan parses")
 }
 
-/// Per-workload chaos verdict.
-#[derive(Debug, Clone)]
-pub struct ChaosCell {
-    /// Workload name (ZZ / ZU / UU / 0% / 20% / 50%).
-    pub workload: String,
-    /// Queries replayed.
-    pub queries: usize,
-    /// Dataset updates applied through the panic boundary.
-    pub updates: usize,
-    /// Queries whose answer equaled the oracle's exactly.
-    pub exact: usize,
-    /// Queries that returned an explicitly degraded (sound partial)
-    /// outcome.
-    pub degraded: usize,
-    /// Silently wrong answers — untagged mismatches, or degraded answers
-    /// that were not a subset of the oracle's. Must be zero.
-    pub divergent: usize,
-    /// Worst observed `elapsed / deadline` ratio across all queries.
-    pub max_overrun: f64,
-    /// Auditor passes run (one per update burst plus the final sweep).
-    pub audits: usize,
-    /// Auditor activity summed over all passes.
-    pub audit_total: AuditReport,
-    /// Entries still quarantined after the final audit. Must be zero.
-    pub quarantined_final: usize,
-    /// Panics contained by the isolation boundaries.
-    pub panics_recovered: u64,
-    /// Harness-side per-query latency of the faulted instance,
-    /// microseconds.
-    pub latency: HistogramSnapshot,
-    /// Pipeline-stage wall time accumulated by the faulted instance
-    /// (chaos runs enable tracing).
-    pub stages: StageSpans,
-    /// The faulted instance's full fault-tolerance counters at the end.
-    pub health: HealthSnapshot,
+/// Which two pipelines a differential replay pits against each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// The faulted default pipeline vs a fault-free oracle.
+    Chaos,
+    /// Postings-index ([`CandidateSource::LabelIndex`]) vs full-scan
+    /// candidate source, both faulted.
+    IndexDiff,
+    /// Delta-repair ([`MaintenanceMode::Repair`]) vs invalidate-only
+    /// maintenance, both faulted.
+    RepairDiff,
 }
 
-impl ChaosCell {
-    /// Did this workload satisfy all three chaos invariants?
-    pub fn passed(&self) -> bool {
-        self.divergent == 0 && self.max_overrun <= 2.0 && self.quarantined_final == 0
+impl Mode {
+    /// Salt of the change-materialization RNG (XORed into the scale seed),
+    /// kept apart from the fault plan so both sides see the same ops.
+    fn salt(self) -> u64 {
+        match self {
+            Mode::Chaos => 0xC4A0_5CA0,
+            Mode::IndexDiff => 0x1DD1_F0AD,
+            Mode::RepairDiff => 0x6E9A_1D1F,
+        }
     }
+
+    /// The two sides this mode replays `workload` on.
+    fn sides(self, cfg: &ChaosConfig, workload: &Workload) -> [Side; 2] {
+        let budget = QueryBudget {
+            deadline: Some(cfg.deadline),
+            max_tests: None,
+        };
+        if self == Mode::Chaos {
+            // A small cache keeps full-rate audits affordable; chaos runs
+            // pay for full telemetry: stage spans feed the report.
+            let config = GcConfig {
+                cache_capacity: 48,
+                window_capacity: 8,
+                budget,
+                trace: true,
+                ..GcConfig::default()
+            };
+            let oracle = GcConfig {
+                budget: QueryBudget::UNLIMITED,
+                ..config
+            };
+            return [
+                Side {
+                    config,
+                    faulted: true,
+                },
+                Side {
+                    config: oracle,
+                    faulted: false,
+                },
+            ];
+        }
+        // Sized so nothing is ever evicted: replacement ranks entries by
+        // benefit (tests alleviated — and even LRU recency is refreshed by
+        // benefit attribution), a quantity the candidate source and the
+        // maintenance mode legitimately change, so under eviction pressure
+        // the two caches would diverge in *composition* (never in answers)
+        // and void the audit-verdict comparison. Eviction-free, composition
+        // is a function of the shared query/answer stream alone and audit
+        // equality is a real invariant.
+        let base = GcConfig {
+            cache_capacity: workload.len() + 16,
+            window_capacity: 8,
+            budget,
+            // the repair diff reports the repair stage span as the
+            // maintenance-time cost of delta repair
+            trace: self == Mode::RepairDiff,
+            ..GcConfig::default()
+        };
+        let (a, b) = if self == Mode::IndexDiff {
+            let source = |candidate_source| GcConfig {
+                candidate_source,
+                ..base
+            };
+            (
+                source(CandidateSource::LabelIndex),
+                source(CandidateSource::LiveScan),
+            )
+        } else {
+            let mode = |maintenance| GcConfig {
+                maintenance,
+                ..base
+            };
+            (
+                mode(MaintenanceMode::Repair),
+                mode(MaintenanceMode::Invalidate),
+            )
+        };
+        [a, b].map(|config| Side {
+            config,
+            faulted: true,
+        })
+    }
+
+    /// The mode's own checks, on top of the ones every replay makes.
+    fn checks(self) -> fn(&DiffCell) -> bool {
+        match self {
+            Mode::Chaos => |c| c.max_overrun <= 2.0,
+            Mode::IndexDiff => |c| {
+                c.health[0].panics_recovered == c.health[1].panics_recovered
+                    && c.candidate_violations == 0
+                    && c.index_replay_ok
+            },
+            Mode::RepairDiff => |c| {
+                let oracle = &c.health[1];
+                c.health[0].panics_recovered == oracle.panics_recovered
+                    && oracle.repairs_applied
+                        + oracle.invalidations_avoided
+                        + oracle.repair_fallbacks
+                        == 0
+            },
+        }
+    }
+}
+
+/// One side of a differential replay.
+#[derive(Debug, Clone, Copy)]
+pub struct Side {
+    /// The side's configuration.
+    pub config: GcConfig,
+    /// Fires the fault plan and is audited after every update burst and
+    /// at the end; a fault-free reference side does neither.
+    pub faulted: bool,
+}
+
+impl Side {
+    fn build(self, dataset: &[LabeledGraph], plan: &FaultPlan) -> GraphCachePlus {
+        let mut gc = GraphCachePlus::new(self.config, dataset.to_vec());
+        if self.faulted {
+            gc.set_fault_injector(Arc::new(FaultInjector::new(plan.clone())));
+        }
+        gc
+    }
+}
+
+/// Per-workload verdict of one differential replay. Index 0 of each pair
+/// is side A (faulted default / index-backed / repair mode), index 1 side
+/// B (oracle / scan-backed / invalidate mode).
+#[derive(Debug, Clone, Default)]
+pub struct DiffCell {
+    /// Workload name (ZZ / ZU / UU / 0% / 20% / 50%).
+    pub workload: String,
+    /// Queries replayed through both sides.
+    pub queries: usize,
+    /// Dataset updates applied to both sides.
+    pub updates: usize,
+    /// Queries where both sides returned the identical undegraded answer.
+    pub exact: usize,
+    /// Queries where a side returned an explicitly degraded (sound
+    /// partial) outcome.
+    pub degraded: usize,
+    /// Silently wrong answers: undegraded mismatches, or a degraded
+    /// partial that was not a subset of the other side's answer. Must be
+    /// zero.
+    pub divergent: usize,
+    /// Auditor passes (one per update burst plus the final sweep).
+    pub audit_passes: usize,
+    /// Audit passes whose verdicts differed between the two sides (when
+    /// both are audited). Must be zero.
+    pub audit_divergent: usize,
+    /// Auditor activity summed over side A's passes.
+    pub audit_total: AuditReport,
+    /// Entries still quarantined after the final audit. Both must be zero.
+    pub quarantined: [usize; 2],
+    /// Both sides' fault-tolerance counters at the end (panics contained,
+    /// repair tallies, ...).
+    pub health: [HealthSnapshot; 2],
+    /// Worst observed `elapsed / deadline` ratio of side A's queries.
+    pub max_overrun: f64,
+    /// Harness-side per-query latency of side A, microseconds.
+    pub latency: HistogramSnapshot,
+    /// Pipeline-stage wall time accumulated by side A (all-zero unless it
+    /// traces).
+    pub stages: StageSpans,
+    /// Candidates each side examined, summed.
+    pub candidates: [u64; 2],
+    /// Undegraded queries where side A examined *more* candidates than
+    /// side B.
+    pub candidate_violations: usize,
+    /// Did side A's label index absorb every logged change incrementally
+    /// (replay count equals the change-log length — no rebuild)?
+    pub index_replay_ok: bool,
+    /// Did the replay pass every check?
+    pub passed: bool,
 }
 
 /// Aggregated result of one [`run_chaos`] invocation.
 #[derive(Debug, Clone)]
-pub struct ChaosReport {
+pub struct DiffReport {
+    /// Which differential ran.
+    pub mode: Mode,
     /// The injected plan, in its compact string form.
     pub fault_plan: String,
     /// The per-query deadline, milliseconds.
     pub deadline_ms: u64,
     /// One verdict per workload.
-    pub cells: Vec<ChaosCell>,
+    pub cells: Vec<DiffCell>,
 }
 
-impl ChaosReport {
-    /// `true` iff every workload passed all three invariants.
+impl DiffReport {
+    /// `true` iff every workload passed.
     pub fn passed(&self) -> bool {
-        self.cells.iter().all(ChaosCell::passed)
+        self.cells.iter().all(|c| c.passed)
+    }
+
+    /// Validity bits side A's repair path preserved across the suite — the
+    /// repair diff's headline, which must be nonzero (a diff that never
+    /// repairs anything proves nothing).
+    pub fn total_invalidations_avoided(&self) -> u64 {
+        self.cells
+            .iter()
+            .map(|c| c.health[0].invalidations_avoided)
+            .sum()
     }
 
     /// Hand-rolled JSON (the artifact uploaded by CI's chaos smoke job).
@@ -139,119 +314,158 @@ impl ChaosReport {
         out.push_str(&format!("  \"fault_plan\": \"{}\",\n", self.fault_plan));
         out.push_str(&format!("  \"deadline_ms\": {},\n", self.deadline_ms));
         out.push_str(&format!("  \"passed\": {},\n", self.passed()));
+        if self.mode == Mode::RepairDiff {
+            out.push_str(&format!(
+                "  \"total_invalidations_avoided\": {},\n",
+                self.total_invalidations_avoided()
+            ));
+        }
         out.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
+            let fields: Vec<String> = self
+                .cell_fields(c)
+                .into_iter()
+                .map(|(key, value)| format!("\"{key}\": {value}"))
+                .collect();
             out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"queries\": {}, \"updates\": {}, \
-                 \"exact\": {}, \"degraded\": {}, \"divergent\": {}, \
-                 \"max_overrun\": {:.4}, \"panics_recovered\": {}, \
-                 \"audits\": {}, \"audit_sampled\": {}, \"audit_repaired\": {}, \
-                 \"audit_evicted\": {}, \"quarantined_final\": {}, \
-                 \"latency_us\": {}, \"stage_nanos\": {}}}{}\n",
-                c.workload,
-                c.queries,
-                c.updates,
-                c.exact,
-                c.degraded,
-                c.divergent,
-                c.max_overrun,
-                c.panics_recovered,
-                c.audits,
-                c.audit_total.sampled,
-                c.audit_total.repaired,
-                c.audit_total.evicted,
-                c.quarantined_final,
-                latency_json(&c.latency),
-                spans_json(&c.stages),
+                "    {{{}}}{}\n",
+                fields.join(", "),
                 if i + 1 == self.cells.len() { "" } else { "," },
             ));
         }
         out.push_str("  ]\n}\n");
         out
     }
+
+    /// One cell's artifact keys, in order.
+    fn cell_fields(&self, c: &DiffCell) -> Vec<(&'static str, String)> {
+        let mut f = vec![
+            ("workload", format!("\"{}\"", c.workload)),
+            ("queries", c.queries.to_string()),
+            ("updates", c.updates.to_string()),
+            ("exact", c.exact.to_string()),
+            ("degraded", c.degraded.to_string()),
+            ("divergent", c.divergent.to_string()),
+        ];
+        let [a, b] = &c.health;
+        let mode_fields: Vec<(&'static str, String)> = match self.mode {
+            Mode::Chaos => vec![
+                ("max_overrun", format!("{:.4}", c.max_overrun)),
+                ("panics_recovered", a.panics_recovered.to_string()),
+                ("audits", c.audit_passes.to_string()),
+                ("audit_sampled", c.audit_total.sampled.to_string()),
+                ("audit_repaired", c.audit_total.repaired.to_string()),
+                ("audit_evicted", c.audit_total.evicted.to_string()),
+                ("quarantined_final", c.quarantined[0].to_string()),
+                ("latency_us", latency_json(&c.latency)),
+                ("stage_nanos", spans_json(&c.stages)),
+            ],
+            Mode::IndexDiff => vec![
+                ("audit_passes", c.audit_passes.to_string()),
+                ("audit_divergent", c.audit_divergent.to_string()),
+                ("audit_repaired", c.audit_total.repaired.to_string()),
+                ("candidate_violations", c.candidate_violations.to_string()),
+                ("index_candidates", c.candidates[0].to_string()),
+                ("scan_candidates", c.candidates[1].to_string()),
+                ("panics_indexed", a.panics_recovered.to_string()),
+                ("panics_scanned", b.panics_recovered.to_string()),
+                ("quarantined_indexed", c.quarantined[0].to_string()),
+                ("quarantined_scanned", c.quarantined[1].to_string()),
+                ("index_replay_ok", c.index_replay_ok.to_string()),
+            ],
+            Mode::RepairDiff => vec![
+                ("audit_passes", c.audit_passes.to_string()),
+                ("audit_divergent", c.audit_divergent.to_string()),
+                ("audit_repaired", c.audit_total.repaired.to_string()),
+                ("repairs_applied", a.repairs_applied.to_string()),
+                ("invalidations_avoided", a.invalidations_avoided.to_string()),
+                ("repair_fallbacks", a.repair_fallbacks.to_string()),
+                ("repair_nanos", c.stages.get(Stage::Repair).to_string()),
+                ("panics_repair", a.panics_recovered.to_string()),
+                ("panics_oracle", b.panics_recovered.to_string()),
+                ("quarantined_repair", c.quarantined[0].to_string()),
+                ("quarantined_oracle", c.quarantined[1].to_string()),
+            ],
+        };
+        f.extend(mode_fields);
+        f
+    }
 }
 
-/// Runs the full chaos suite: all six paper workloads, each replayed under
-/// the configured fault plan against a fault-free oracle.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
+/// Runs one differential suite: all six paper workloads, each replayed in
+/// `mode` under the configured fault plan.
+pub fn run_chaos(cfg: &ChaosConfig, mode: Mode) -> DiffReport {
     let dataset = build_dataset(&cfg.scale);
     let plan = build_plan(&cfg.scale);
     let mut workloads = build_type_a_workloads(&dataset, &cfg.scale);
     workloads.extend(build_type_b_workloads(&dataset, &cfg.scale));
-    let cells = with_quiet_panics(|| {
-        workloads
-            .iter()
-            .map(|w| run_chaos_cell(&dataset, w, &plan, cfg))
-            .collect()
-    });
-    ChaosReport {
+    quiet_injected_panics();
+    let cells = workloads
+        .iter()
+        .map(|w| run_cell(mode, &dataset, w, &plan, cfg))
+        .collect();
+    DiffReport {
+        mode,
         fault_plan: cfg.fault_plan.to_string(),
         deadline_ms: cfg.deadline.as_millis() as u64,
         cells,
     }
 }
 
-/// Replays one workload under the fault plan, comparing every answer
-/// against a fault-free oracle instance fed the identical change stream.
-pub fn run_chaos_cell(
+/// Replays one workload in `mode`.
+pub fn run_cell(
+    mode: Mode,
     dataset: &[LabeledGraph],
     workload: &Workload,
     plan: &ChangePlan,
     cfg: &ChaosConfig,
-) -> ChaosCell {
-    // A small cache keeps full-rate audits affordable; the faulted side
-    // additionally runs under the wall-clock deadline.
-    let faulted_config = GcConfig {
-        cache_capacity: 48,
-        window_capacity: 8,
-        budget: QueryBudget {
-            deadline: Some(cfg.deadline),
-            max_tests: None,
-        },
-        // chaos runs pay for full telemetry: stage spans feed the report
-        trace: true,
-        ..GcConfig::default()
-    };
-    let oracle_config = GcConfig {
-        budget: QueryBudget::UNLIMITED,
-        ..faulted_config
-    };
-    let mut faulted = GraphCachePlus::new(faulted_config, dataset.to_vec());
-    faulted.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
-    let mut oracle = GraphCachePlus::new(oracle_config, dataset.to_vec());
+) -> DiffCell {
+    let sides = mode.sides(cfg, workload);
+    differential(
+        dataset,
+        workload,
+        plan,
+        cfg,
+        sides,
+        mode.salt(),
+        mode.checks(),
+    )
+}
 
-    // Change materialization is seeded separately from the fault plan so
-    // both instances see the exact same concrete operations.
-    let mut rng = StdRng::seed_from_u64(cfg.scale.seed ^ 0xC4A0_5CA0);
+/// Replays `workload` and `plan` on both `sides` (A, then B) side by side,
+/// materializing changes with an RNG seeded by the scale seed XOR `salt`,
+/// and tallies every comparison. The cell passes when no answer silently
+/// diverged, no audit verdicts differed, no entry stayed quarantined, and
+/// `checks` holds.
+pub fn differential(
+    dataset: &[LabeledGraph],
+    workload: &Workload,
+    plan: &ChangePlan,
+    cfg: &ChaosConfig,
+    sides: [Side; 2],
+    salt: u64,
+    checks: fn(&DiffCell) -> bool,
+) -> DiffCell {
+    let faulted = sides.map(|s| s.faulted);
+    let mut sides = sides.map(|s| s.build(dataset, &cfg.fault_plan));
+    let mut rng = StdRng::seed_from_u64(cfg.scale.seed ^ salt);
     let mut next_batch = 0usize;
-
-    let mut cell = ChaosCell {
+    let mut cell = DiffCell {
         workload: workload.name.clone(),
         queries: workload.len(),
-        updates: 0,
-        exact: 0,
-        degraded: 0,
-        divergent: 0,
-        max_overrun: 0.0,
-        audits: 0,
-        audit_total: AuditReport::default(),
-        quarantined_final: 0,
-        panics_recovered: 0,
-        latency: HistogramSnapshot::default(),
-        stages: StageSpans::default(),
-        health: HealthSnapshot::default(),
+        ..DiffCell::default()
     };
     let latency = Histogram::new();
 
     for (i, q) in workload.queries.iter().enumerate() {
-        // ---- fire due change batches through the panic boundary ----
+        // ---- fire due change batches through the panic boundaries ----
         let mut burst = 0usize;
         while next_batch < plan.batches.len() && plan.batches[next_batch].at_query <= i {
             for planned in &plan.batches[next_batch].ops {
-                if let Some(op) = materialize_op(&mut rng, faulted.store(), dataset, planned.op) {
-                    let f = faulted.apply_isolated(op.clone());
-                    let o = oracle.apply(op);
-                    debug_assert_eq!(f.is_ok(), o.is_ok(), "materialized op valid on both");
+                if let Some(op) = materialize(&mut rng, sides[0].store(), dataset, planned.op) {
+                    let a = sides[0].apply_isolated(op.clone());
+                    let b = sides[1].apply_isolated(op);
+                    debug_assert_eq!(a.is_ok(), b.is_ok(), "materialized op valid on both");
                     burst += 1;
                 }
             }
@@ -261,656 +475,109 @@ pub fn run_chaos_cell(
         //      update path and must be caught before queries can see it ----
         if burst > 0 {
             cell.updates += burst;
-            cell.audits += 1;
-            add_audit(
-                &mut cell.audit_total,
-                faulted.audit(cfg.audit_rate, cfg.scale.seed + i as u64),
+            audit_pass(
+                &mut cell,
+                &mut sides,
+                faulted,
+                cfg,
+                cfg.scale.seed + i as u64,
             );
         }
-        // ---- one query on each instance, faulted side under deadline ----
+        // ---- one query on each side, side A timed against the deadline ----
         let t = Instant::now();
-        let out = faulted.execute_isolated(q, workload.kind);
+        let a = sides[0].execute_isolated(q, workload.kind);
         let elapsed = t.elapsed();
-        let truth = oracle.execute(q, workload.kind);
-        let overrun = elapsed.as_secs_f64() / cfg.deadline.as_secs_f64();
-        cell.max_overrun = cell.max_overrun.max(overrun);
+        let b = sides[1].execute_isolated(q, workload.kind);
+        cell.max_overrun = cell
+            .max_overrun
+            .max(elapsed.as_secs_f64() / cfg.deadline.as_secs_f64());
         latency.record(elapsed.as_micros().min(u64::MAX as u128) as u64);
-        if out.metrics.degraded.is_some() {
-            // a degraded partial may miss answers but must never invent one
-            if out.answer.is_subset_of(&truth.answer) {
-                cell.degraded += 1;
-            } else {
-                cell.divergent += 1;
-            }
-        } else if out.answer == truth.answer {
-            cell.exact += 1;
-        } else {
-            cell.divergent += 1;
+        cell.candidates[0] += a.metrics.candidate_size;
+        cell.candidates[1] += b.metrics.candidate_size;
+        match classify(&a, &b) {
+            Verdict::Exact => cell.exact += 1,
+            Verdict::Degraded => cell.degraded += 1,
+            Verdict::Divergent => cell.divergent += 1,
+        }
+        let undegraded = a.metrics.degraded.is_none() && b.metrics.degraded.is_none();
+        if undegraded && a.metrics.candidate_size > b.metrics.candidate_size {
+            cell.candidate_violations += 1;
         }
     }
 
     // ---- final sweep: late faults may have left quarantined entries ----
-    cell.audits += 1;
-    add_audit(
-        &mut cell.audit_total,
-        faulted.audit(cfg.audit_rate, cfg.scale.seed),
-    );
-    cell.quarantined_final = faulted.quarantined_entries();
-    cell.health = faulted.health_snapshot();
-    cell.panics_recovered = cell.health.panics_recovered;
+    audit_pass(&mut cell, &mut sides, faulted, cfg, cfg.scale.seed);
+    cell.quarantined = [0, 1].map(|s| sides[s].quarantined_entries());
+    cell.health = [0, 1].map(|s| sides[s].health_snapshot());
     cell.latency = latency.snapshot();
-    cell.stages = faulted.stage_totals();
-    cell
-}
-
-/// Per-workload verdict of one candidate-source differential replay: the
-/// same fault plan fired against the postings-index-backed pipeline (the
-/// default [`CandidateSource::LabelIndex`]) and the paper's full-scan
-/// pipeline, side by side on identical query/change streams.
-#[derive(Debug, Clone)]
-pub struct IndexDiffCell {
-    /// Workload name (ZZ / ZU / UU / 0% / 20% / 50%).
-    pub workload: String,
-    /// Queries replayed through both pipelines.
-    pub queries: usize,
-    /// Dataset updates applied to both instances.
-    pub updates: usize,
-    /// Queries where both sides returned the identical undegraded answer.
-    pub exact: usize,
-    /// Queries where at least one side returned an explicitly degraded
-    /// (sound partial) outcome.
-    pub degraded: usize,
-    /// Answer divergence between the two candidate sources: undegraded
-    /// mismatches, or a degraded partial that was not a subset of the
-    /// other side's exact answer. Must be zero.
-    pub divergent: usize,
-    /// Auditor passes compared (one per update burst plus the final
-    /// sweep).
-    pub audit_passes: usize,
-    /// Audit passes whose verdicts (sampled/clean/repaired/evicted)
-    /// differed between the two pipelines. Must be zero.
-    pub audit_divergent: usize,
-    /// Auditor activity summed over the index-backed instance's passes.
-    pub audit_total: AuditReport,
-    /// Queries where the index produced *more* candidates than the scan
-    /// (the index may only shrink CS_M; compared when neither side
-    /// degraded). Must be zero.
-    pub candidate_violations: usize,
-    /// Candidates examined by the index-backed pipeline, summed.
-    pub index_candidates: u64,
-    /// Candidates examined by the scan-backed pipeline, summed.
-    pub scan_candidates: u64,
-    /// Panics contained by the index-backed instance.
-    pub panics_indexed: u64,
-    /// Panics contained by the scan-backed instance (must equal the
-    /// index-backed count — the plan fires at the same stream points).
-    pub panics_scanned: u64,
-    /// Entries left quarantined after the final audit, per side. Both
-    /// must be zero.
-    pub quarantined_indexed: usize,
-    /// See [`IndexDiffCell::quarantined_indexed`].
-    pub quarantined_scanned: usize,
-    /// Did the index absorb every logged change incrementally (replay
-    /// count equals the change-log length — i.e. no rebuild happened)?
-    pub index_replay_ok: bool,
-}
-
-impl IndexDiffCell {
-    /// Did the two candidate sources stay observationally equivalent?
-    pub fn passed(&self) -> bool {
-        self.divergent == 0
-            && self.audit_divergent == 0
-            && self.candidate_violations == 0
-            && self.panics_indexed == self.panics_scanned
-            && self.quarantined_indexed == 0
-            && self.quarantined_scanned == 0
-            && self.index_replay_ok
-    }
-}
-
-/// Aggregated result of one [`run_index_diff`] invocation.
-#[derive(Debug, Clone)]
-pub struct IndexDiffReport {
-    /// The injected plan, in its compact string form.
-    pub fault_plan: String,
-    /// The per-query deadline, milliseconds.
-    pub deadline_ms: u64,
-    /// One verdict per workload.
-    pub cells: Vec<IndexDiffCell>,
-}
-
-impl IndexDiffReport {
-    /// `true` iff every workload stayed divergence-free.
-    pub fn passed(&self) -> bool {
-        self.cells.iter().all(IndexDiffCell::passed)
-    }
-
-    /// Hand-rolled JSON (the artifact uploaded by CI's chaos smoke job).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"fault_plan\": \"{}\",\n", self.fault_plan));
-        out.push_str(&format!("  \"deadline_ms\": {},\n", self.deadline_ms));
-        out.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"queries\": {}, \"updates\": {}, \
-                 \"exact\": {}, \"degraded\": {}, \"divergent\": {}, \
-                 \"audit_passes\": {}, \"audit_divergent\": {}, \
-                 \"audit_repaired\": {}, \"candidate_violations\": {}, \
-                 \"index_candidates\": {}, \"scan_candidates\": {}, \
-                 \"panics_indexed\": {}, \"panics_scanned\": {}, \
-                 \"quarantined_indexed\": {}, \"quarantined_scanned\": {}, \
-                 \"index_replay_ok\": {}}}{}\n",
-                c.workload,
-                c.queries,
-                c.updates,
-                c.exact,
-                c.degraded,
-                c.divergent,
-                c.audit_passes,
-                c.audit_divergent,
-                c.audit_total.repaired,
-                c.candidate_violations,
-                c.index_candidates,
-                c.scan_candidates,
-                c.panics_indexed,
-                c.panics_scanned,
-                c.quarantined_indexed,
-                c.quarantined_scanned,
-                c.index_replay_ok,
-                if i + 1 == self.cells.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Runs the candidate-source differential chaos suite: all six paper
-/// workloads, each replayed under the configured fault plan against
-/// **both** candidate sources, failing on any answer or audit divergence.
-pub fn run_index_diff(cfg: &ChaosConfig) -> IndexDiffReport {
-    let dataset = build_dataset(&cfg.scale);
-    let plan = build_plan(&cfg.scale);
-    let mut workloads = build_type_a_workloads(&dataset, &cfg.scale);
-    workloads.extend(build_type_b_workloads(&dataset, &cfg.scale));
-    let cells = with_quiet_panics(|| {
-        workloads
-            .iter()
-            .map(|w| run_index_diff_cell(&dataset, w, &plan, cfg))
-            .collect()
-    });
-    IndexDiffReport {
-        fault_plan: cfg.fault_plan.to_string(),
-        deadline_ms: cfg.deadline.as_millis() as u64,
-        cells,
-    }
-}
-
-/// Replays one workload under the fault plan on an index-backed and a
-/// scan-backed instance simultaneously, comparing every answer and every
-/// audit verdict between the two.
-pub fn run_index_diff_cell(
-    dataset: &[LabeledGraph],
-    workload: &Workload,
-    plan: &ChangePlan,
-    cfg: &ChaosConfig,
-) -> IndexDiffCell {
-    // Sized so nothing is ever evicted: replacement ranks entries by
-    // benefit (tests alleviated — and even LRU recency is refreshed by
-    // benefit attribution), a quantity the candidate source legitimately
-    // changes, so under eviction pressure the two caches would diverge in
-    // *composition* (never in answers) and void the audit-verdict
-    // comparison. Eviction-free, composition is a function of the shared
-    // query/answer stream alone and audit equality is a real invariant.
-    let base = GcConfig {
-        cache_capacity: workload.len() + 16,
-        window_capacity: 8,
-        budget: QueryBudget {
-            deadline: Some(cfg.deadline),
-            max_tests: None,
-        },
-        ..GcConfig::default()
-    };
-    let mut indexed = GraphCachePlus::new(
-        GcConfig {
-            candidate_source: CandidateSource::LabelIndex,
-            ..base
-        },
-        dataset.to_vec(),
-    );
-    let mut scanned = GraphCachePlus::new(
-        GcConfig {
-            candidate_source: CandidateSource::LiveScan,
-            ..base
-        },
-        dataset.to_vec(),
-    );
-    indexed.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
-    scanned.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
-
-    // The same concrete operations hit both instances, materialized once
-    // against the (identical) index-backed store state.
-    let mut rng = StdRng::seed_from_u64(cfg.scale.seed ^ 0x1DD1_F0AD);
-    let mut next_batch = 0usize;
-
-    let mut cell = IndexDiffCell {
-        workload: workload.name.clone(),
-        queries: workload.len(),
-        updates: 0,
-        exact: 0,
-        degraded: 0,
-        divergent: 0,
-        audit_passes: 0,
-        audit_divergent: 0,
-        audit_total: AuditReport::default(),
-        candidate_violations: 0,
-        index_candidates: 0,
-        scan_candidates: 0,
-        panics_indexed: 0,
-        panics_scanned: 0,
-        quarantined_indexed: 0,
-        quarantined_scanned: 0,
-        index_replay_ok: false,
-    };
-
-    let compare_audits = |cell: &mut IndexDiffCell,
-                          indexed: &mut GraphCachePlus,
-                          scanned: &mut GraphCachePlus,
-                          seed: u64| {
-        cell.audit_passes += 1;
-        let ra = indexed.audit(cfg.audit_rate, seed);
-        let rb = scanned.audit(cfg.audit_rate, seed);
-        if ra.sampled != rb.sampled
-            || ra.clean != rb.clean
-            || ra.repaired != rb.repaired
-            || ra.evicted != rb.evicted
-        {
-            cell.audit_divergent += 1;
-        }
-        add_audit(&mut cell.audit_total, ra);
-    };
-
-    for (i, q) in workload.queries.iter().enumerate() {
-        let mut burst = 0usize;
-        while next_batch < plan.batches.len() && plan.batches[next_batch].at_query <= i {
-            for planned in &plan.batches[next_batch].ops {
-                if let Some(op) = materialize_op(&mut rng, indexed.store(), dataset, planned.op) {
-                    let a = indexed.apply_isolated(op.clone());
-                    let b = scanned.apply_isolated(op);
-                    debug_assert_eq!(a.is_ok(), b.is_ok(), "materialized op valid on both");
-                    burst += 1;
-                }
-            }
-            next_batch += 1;
-        }
-        if burst > 0 {
-            cell.updates += burst;
-            // audit both sides with the same rate and seed right after the
-            // burst: injected corruption must be found (and repaired) by
-            // both pipelines identically
-            compare_audits(
-                &mut cell,
-                &mut indexed,
-                &mut scanned,
-                cfg.scale.seed + i as u64,
-            );
-        }
-
-        let a = indexed.execute_isolated(q, workload.kind);
-        let b = scanned.execute_isolated(q, workload.kind);
-        cell.index_candidates += a.metrics.candidate_size;
-        cell.scan_candidates += b.metrics.candidate_size;
-        match (a.metrics.degraded.is_some(), b.metrics.degraded.is_some()) {
-            (false, false) => {
-                if a.answer == b.answer {
-                    cell.exact += 1;
-                } else {
-                    cell.divergent += 1;
-                }
-                if a.metrics.candidate_size > b.metrics.candidate_size {
-                    cell.candidate_violations += 1;
-                }
-            }
-            (da, db) => {
-                // a degraded partial may miss answers but must never
-                // invent one the other (exact) side does not have
-                let sound_a = !da || db || a.answer.is_subset_of(&b.answer);
-                let sound_b = !db || da || b.answer.is_subset_of(&a.answer);
-                if sound_a && sound_b {
-                    cell.degraded += 1;
-                } else {
-                    cell.divergent += 1;
-                }
-            }
-        }
-    }
-
-    // final sweep: late corruption must drain from both sides identically
-    compare_audits(&mut cell, &mut indexed, &mut scanned, cfg.scale.seed);
-    cell.quarantined_indexed = indexed.quarantined_entries();
-    cell.quarantined_scanned = scanned.quarantined_entries();
-    cell.panics_indexed = indexed.health_snapshot().panics_recovered;
-    cell.panics_scanned = scanned.health_snapshot().panics_recovered;
-    cell.index_replay_ok = indexed
+    cell.stages = sides[0].stage_totals();
+    cell.index_replay_ok = sides[0]
         .label_index()
-        .is_some_and(|idx| idx.records_replayed() == indexed.log_len() as u64);
+        .is_some_and(|idx| idx.records_replayed() == sides[0].log_len() as u64);
+    cell.passed = cell.divergent == 0
+        && cell.audit_divergent == 0
+        && cell.quarantined == [0, 0]
+        && checks(&cell);
     cell
 }
 
-/// Per-workload verdict of one maintenance-mode differential replay: the
-/// same fault plan fired against a delta-repair pipeline (the default
-/// [`MaintenanceMode::Repair`](gc_core::MaintenanceMode::Repair)) and an
-/// invalidate-only oracle, side by side on identical query/change streams.
-#[derive(Debug, Clone)]
-pub struct RepairDiffCell {
-    /// Workload name (ZZ / ZU / UU / 0% / 20% / 50%).
-    pub workload: String,
-    /// Queries replayed through both pipelines.
-    pub queries: usize,
-    /// Dataset updates applied to both instances.
-    pub updates: usize,
-    /// Queries where both sides returned the identical undegraded answer.
-    pub exact: usize,
-    /// Queries where at least one side returned an explicitly degraded
-    /// (sound partial) outcome.
-    pub degraded: usize,
-    /// Answer divergence between the two maintenance modes: undegraded
-    /// mismatches, or a degraded partial that was not a subset of the
-    /// other side's exact answer. Must be zero.
-    pub divergent: usize,
-    /// Auditor passes compared (one per update burst plus the final
-    /// sweep).
-    pub audit_passes: usize,
-    /// Audit passes whose verdicts (sampled/clean/repaired/evicted)
-    /// differed between the two pipelines. Must be zero — repair leaves
-    /// every bit it does not resolve byte-identical to invalidation.
-    pub audit_divergent: usize,
-    /// Auditor activity summed over the repair-mode instance's passes.
-    pub audit_total: AuditReport,
-    /// Validity bits the repair instance spliced to a changed value.
-    pub repairs_applied: u64,
-    /// Validity bits the repair instance preserved where invalidation
-    /// would have discarded them.
-    pub invalidations_avoided: u64,
-    /// Would-repair bits surrendered to invalidation when the per-pass
-    /// test budget ran dry.
-    pub repair_fallbacks: u64,
-    /// Wall-clock nanoseconds the repair instance spent in the `repair`
-    /// pipeline stage (the maintenance-time cost of delta repair).
-    pub repair_nanos: u64,
-    /// The invalidate-mode oracle's repair counters — all three must stay
-    /// zero (the mode flag actually disables the repair path).
-    pub oracle_repair_activity: u64,
-    /// Panics contained by the repair-mode instance.
-    pub panics_repair: u64,
-    /// Panics contained by the invalidate-mode instance (must equal the
-    /// repair-mode count — the plan fires at the same stream points).
-    pub panics_oracle: u64,
-    /// Entries left quarantined after the final audit, per side. Both
-    /// must be zero.
-    pub quarantined_repair: usize,
-    /// See [`RepairDiffCell::quarantined_repair`].
-    pub quarantined_oracle: usize,
-}
-
-impl RepairDiffCell {
-    /// Did the two maintenance modes stay observationally equivalent?
-    pub fn passed(&self) -> bool {
-        self.divergent == 0
-            && self.audit_divergent == 0
-            && self.oracle_repair_activity == 0
-            && self.panics_repair == self.panics_oracle
-            && self.quarantined_repair == 0
-            && self.quarantined_oracle == 0
-    }
-}
-
-/// Aggregated result of one [`run_repair_diff`] invocation.
-#[derive(Debug, Clone)]
-pub struct RepairDiffReport {
-    /// The injected plan, in its compact string form.
-    pub fault_plan: String,
-    /// The per-query deadline, milliseconds.
-    pub deadline_ms: u64,
-    /// One verdict per workload.
-    pub cells: Vec<RepairDiffCell>,
-}
-
-impl RepairDiffReport {
-    /// `true` iff every workload stayed divergence-free.
-    pub fn passed(&self) -> bool {
-        self.cells.iter().all(RepairDiffCell::passed)
-    }
-
-    /// Validity bits preserved across the whole suite — the headline the
-    /// CI gate requires to be nonzero (a diff that never repairs anything
-    /// proves nothing).
-    pub fn total_invalidations_avoided(&self) -> u64 {
-        self.cells.iter().map(|c| c.invalidations_avoided).sum()
-    }
-
-    /// Hand-rolled JSON (the artifact uploaded by CI's chaos smoke job).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"fault_plan\": \"{}\",\n", self.fault_plan));
-        out.push_str(&format!("  \"deadline_ms\": {},\n", self.deadline_ms));
-        out.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        out.push_str(&format!(
-            "  \"total_invalidations_avoided\": {},\n",
-            self.total_invalidations_avoided()
-        ));
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"queries\": {}, \"updates\": {}, \
-                 \"exact\": {}, \"degraded\": {}, \"divergent\": {}, \
-                 \"audit_passes\": {}, \"audit_divergent\": {}, \
-                 \"audit_repaired\": {}, \"repairs_applied\": {}, \
-                 \"invalidations_avoided\": {}, \"repair_fallbacks\": {}, \
-                 \"repair_nanos\": {}, \
-                 \"panics_repair\": {}, \"panics_oracle\": {}, \
-                 \"quarantined_repair\": {}, \"quarantined_oracle\": {}}}{}\n",
-                c.workload,
-                c.queries,
-                c.updates,
-                c.exact,
-                c.degraded,
-                c.divergent,
-                c.audit_passes,
-                c.audit_divergent,
-                c.audit_total.repaired,
-                c.repairs_applied,
-                c.invalidations_avoided,
-                c.repair_fallbacks,
-                c.repair_nanos,
-                c.panics_repair,
-                c.panics_oracle,
-                c.quarantined_repair,
-                c.quarantined_oracle,
-                if i + 1 == self.cells.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Runs the maintenance-mode differential chaos suite: all six paper
-/// workloads, each replayed under the configured fault plan against
-/// **both** maintenance modes, failing on any answer or audit divergence.
-pub fn run_repair_diff(cfg: &ChaosConfig) -> RepairDiffReport {
-    let dataset = build_dataset(&cfg.scale);
-    let plan = build_plan(&cfg.scale);
-    let mut workloads = build_type_a_workloads(&dataset, &cfg.scale);
-    workloads.extend(build_type_b_workloads(&dataset, &cfg.scale));
-    let cells = with_quiet_panics(|| {
-        workloads
-            .iter()
-            .map(|w| run_repair_diff_cell(&dataset, w, &plan, cfg))
-            .collect()
-    });
-    RepairDiffReport {
-        fault_plan: cfg.fault_plan.to_string(),
-        deadline_ms: cfg.deadline.as_millis() as u64,
-        cells,
-    }
-}
-
-/// Replays one workload under the fault plan on a repair-mode and an
-/// invalidate-mode instance simultaneously, comparing every answer and
-/// every audit verdict between the two.
-pub fn run_repair_diff_cell(
-    dataset: &[LabeledGraph],
-    workload: &Workload,
-    plan: &ChangePlan,
+/// Audits every faulted side with the same rate and seed; side A's
+/// verdict enters the total, and a pass where the verdicts differ counts
+/// as divergent.
+fn audit_pass(
+    cell: &mut DiffCell,
+    sides: &mut [GraphCachePlus; 2],
+    faulted: [bool; 2],
     cfg: &ChaosConfig,
-) -> RepairDiffCell {
-    // Eviction-free sizing for the same reason as the index diff: the
-    // maintenance mode legitimately changes entry benefit (a repaired
-    // entry keeps alleviating tests that an invalidated one re-earns),
-    // so under eviction pressure cache *composition* would diverge and
-    // void the audit-verdict comparison.
-    let base = GcConfig {
-        cache_capacity: workload.len() + 16,
-        window_capacity: 8,
-        budget: QueryBudget {
-            deadline: Some(cfg.deadline),
-            max_tests: None,
-        },
-        // tracing on: the cell reports the repair stage span as the
-        // maintenance-time cost of delta repair
-        trace: true,
-        ..GcConfig::default()
+    seed: u64,
+) {
+    let verdicts: Vec<AuditReport> = sides
+        .iter_mut()
+        .zip(faulted)
+        .filter(|(_, f)| *f)
+        .map(|(gc, _)| gc.audit(cfg.audit_rate, seed))
+        .collect();
+    let Some(&first) = verdicts.first() else {
+        return;
     };
-    let mut repair = GraphCachePlus::new(
-        GcConfig {
-            maintenance: MaintenanceMode::Repair,
-            ..base
-        },
-        dataset.to_vec(),
-    );
-    let mut oracle = GraphCachePlus::new(
-        GcConfig {
-            maintenance: MaintenanceMode::Invalidate,
-            ..base
-        },
-        dataset.to_vec(),
-    );
-    repair.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
-    oracle.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
-
-    // The same concrete operations hit both instances, materialized once
-    // against the (identical) repair-mode store state.
-    let mut rng = StdRng::seed_from_u64(cfg.scale.seed ^ 0x6E9A_1D1F);
-    let mut next_batch = 0usize;
-
-    let mut cell = RepairDiffCell {
-        workload: workload.name.clone(),
-        queries: workload.len(),
-        updates: 0,
-        exact: 0,
-        degraded: 0,
-        divergent: 0,
-        audit_passes: 0,
-        audit_divergent: 0,
-        audit_total: AuditReport::default(),
-        repairs_applied: 0,
-        invalidations_avoided: 0,
-        repair_fallbacks: 0,
-        repair_nanos: 0,
-        oracle_repair_activity: 0,
-        panics_repair: 0,
-        panics_oracle: 0,
-        quarantined_repair: 0,
-        quarantined_oracle: 0,
-    };
-
-    let compare_audits = |cell: &mut RepairDiffCell,
-                          repair: &mut GraphCachePlus,
-                          oracle: &mut GraphCachePlus,
-                          seed: u64| {
-        cell.audit_passes += 1;
-        let ra = repair.audit(cfg.audit_rate, seed);
-        let rb = oracle.audit(cfg.audit_rate, seed);
-        if ra.sampled != rb.sampled
-            || ra.clean != rb.clean
-            || ra.repaired != rb.repaired
-            || ra.evicted != rb.evicted
-        {
-            cell.audit_divergent += 1;
-        }
-        add_audit(&mut cell.audit_total, ra);
-    };
-
-    for (i, q) in workload.queries.iter().enumerate() {
-        let mut burst = 0usize;
-        while next_batch < plan.batches.len() && plan.batches[next_batch].at_query <= i {
-            for planned in &plan.batches[next_batch].ops {
-                if let Some(op) = materialize_op(&mut rng, repair.store(), dataset, planned.op) {
-                    let a = repair.apply_isolated(op.clone());
-                    let b = oracle.apply_isolated(op);
-                    debug_assert_eq!(a.is_ok(), b.is_ok(), "materialized op valid on both");
-                    burst += 1;
-                }
-            }
-            next_batch += 1;
-        }
-        if burst > 0 {
-            cell.updates += burst;
-            // audit both sides with the same rate and seed right after the
-            // burst: injected corruption is caught *before* either mode's
-            // maintenance pass runs, so the verdicts must be identical
-            compare_audits(
-                &mut cell,
-                &mut repair,
-                &mut oracle,
-                cfg.scale.seed + i as u64,
-            );
-        }
-
-        let a = repair.execute_isolated(q, workload.kind);
-        let b = oracle.execute_isolated(q, workload.kind);
-        match (a.metrics.degraded.is_some(), b.metrics.degraded.is_some()) {
-            (false, false) => {
-                if a.answer == b.answer {
-                    cell.exact += 1;
-                } else {
-                    cell.divergent += 1;
-                }
-            }
-            (da, db) => {
-                // a degraded partial may miss answers but must never
-                // invent one the other (exact) side does not have
-                let sound_a = !da || db || a.answer.is_subset_of(&b.answer);
-                let sound_b = !db || da || b.answer.is_subset_of(&a.answer);
-                if sound_a && sound_b {
-                    cell.degraded += 1;
-                } else {
-                    cell.divergent += 1;
-                }
-            }
-        }
+    cell.audit_passes += 1;
+    if verdicts.iter().any(|v| *v != first) {
+        cell.audit_divergent += 1;
     }
+    let total = &mut cell.audit_total;
+    total.sampled += first.sampled;
+    total.clean += first.clean;
+    total.repaired += first.repaired;
+    total.evicted += first.evicted;
+}
 
-    // final sweep: late corruption must drain from both sides identically
-    compare_audits(&mut cell, &mut repair, &mut oracle, cfg.scale.seed);
-    cell.quarantined_repair = repair.quarantined_entries();
-    cell.quarantined_oracle = oracle.quarantined_entries();
-    let rh = repair.health_snapshot();
-    let oh = oracle.health_snapshot();
-    cell.panics_repair = rh.panics_recovered;
-    cell.panics_oracle = oh.panics_recovered;
-    cell.repairs_applied = rh.repairs_applied;
-    cell.invalidations_avoided = rh.invalidations_avoided;
-    cell.repair_fallbacks = rh.repair_fallbacks;
-    cell.repair_nanos = repair.stage_totals().get(Stage::Repair);
-    cell.oracle_repair_activity =
-        oh.repairs_applied + oh.invalidations_avoided + oh.repair_fallbacks;
-    cell
+/// How one query's two answers compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Exact,
+    Degraded,
+    Divergent,
+}
+
+/// Undegraded answers must be equal. A degraded partial may miss answers
+/// but must never invent one the other side does not have — checked in
+/// both directions, whichever side degraded.
+fn classify(a: &QueryOutcome, b: &QueryOutcome) -> Verdict {
+    let (da, db) = (a.metrics.degraded.is_some(), b.metrics.degraded.is_some());
+    if !da && !db {
+        return if a.answer == b.answer {
+            Verdict::Exact
+        } else {
+            Verdict::Divergent
+        };
+    }
+    let sound_a = !da || db || a.answer.is_subset_of(&b.answer);
+    let sound_b = !db || da || b.answer.is_subset_of(&a.answer);
+    if sound_a && sound_b {
+        Verdict::Degraded
+    } else {
+        Verdict::Divergent
+    }
 }
 
 /// Stage-span totals as a compact JSON object (`{"prefilter": ns, ...}`).
@@ -935,104 +602,12 @@ pub(crate) fn latency_json(snap: &HistogramSnapshot) -> String {
     )
 }
 
-/// Materializes one planned op against the current store state, paralleling
-/// `PlanExecutor` but *returning* the concrete [`ChangeOp`] so the same
-/// operation can be applied to both the faulted and the oracle instance
-/// (and retried after a contained panic). `None` when the category cannot
-/// fire (e.g. UR on an edgeless dataset).
-fn materialize_op(
-    rng: &mut StdRng,
-    store: &GraphStore,
-    initial: &[LabeledGraph],
-    op: OpType,
-) -> Option<ChangeOp> {
-    match op {
-        OpType::Add => {
-            if initial.is_empty() {
-                return None;
-            }
-            Some(ChangeOp::Add(
-                initial[rng.random_range(0..initial.len())].clone(),
-            ))
-        }
-        OpType::Del => pick_live(rng, store, |_| true).map(ChangeOp::Del),
-        OpType::Ua => {
-            let id = pick_live(rng, store, |g| {
-                let n = g.vertex_count();
-                n >= 2 && g.edge_count() < n * (n - 1) / 2
-            })?;
-            let g = store.get(id).expect("picked live");
-            let n = g.vertex_count() as u32;
-            loop {
-                let u = rng.random_range(0..n);
-                let v = rng.random_range(0..n);
-                if u != v && !g.has_edge(u, v) {
-                    return Some(ChangeOp::Ua { id, u, v });
-                }
-            }
-        }
-        OpType::Ur => {
-            let id = pick_live(rng, store, |g| g.edge_count() > 0)?;
-            let g = store.get(id).expect("picked live");
-            let edges: Vec<_> = g.edges().collect();
-            let (u, v) = edges[rng.random_range(0..edges.len())];
-            Some(ChangeOp::Ur { id, u, v })
-        }
-    }
-}
-
-/// Uniform live-graph pick with bounded rejection sampling and an
-/// exhaustive fallback (mirrors `PlanExecutor`'s selection recipe).
-fn pick_live(
-    rng: &mut StdRng,
-    store: &GraphStore,
-    pred: impl Fn(&LabeledGraph) -> bool,
-) -> Option<usize> {
-    let span = store.id_span();
-    if span == 0 || store.live_count() == 0 {
-        return None;
-    }
-    for _ in 0..64 {
-        let id = rng.random_range(0..span);
-        if let Some(g) = store.get(id) {
-            if pred(g) {
-                return Some(id);
-            }
-        }
-    }
-    let candidates: Vec<usize> = store
-        .iter_live()
-        .filter(|(_, g)| pred(g))
-        .map(|(i, _)| i)
-        .collect();
-    if candidates.is_empty() {
-        None
-    } else {
-        Some(candidates[rng.random_range(0..candidates.len())])
-    }
-}
-
-fn add_audit(total: &mut AuditReport, pass: AuditReport) {
-    total.sampled += pass.sampled;
-    total.clean += pass.clean;
-    total.repaired += pass.repaired;
-    total.evicted += pass.evicted;
-}
-
-/// Runs `f` with the default panic hook silenced — injected faults are
-/// *supposed* to panic, and dozens of backtrace banners would drown the
-/// report. The hook is global, so the previous one is restored afterwards.
-pub(crate) fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = f();
-    std::panic::set_hook(prev);
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gc_core::QueryMetrics;
+    use gc_graph::BitSet;
+    use gc_subiso::Interrupt;
 
     fn tiny_chaos_config() -> ChaosConfig {
         ChaosConfig::new(Scale {
@@ -1047,11 +622,11 @@ mod tests {
     #[test]
     fn chaos_suite_passes_under_builtin_faults() {
         let cfg = tiny_chaos_config();
-        let report = run_chaos(&cfg);
+        let report = run_chaos(&cfg, Mode::Chaos);
         assert_eq!(report.cells.len(), 6, "three Type A + three Type B");
         for c in &report.cells {
             assert_eq!(c.divergent, 0, "silent divergence in {}", c.workload);
-            assert_eq!(c.quarantined_final, 0, "quarantine left in {}", c.workload);
+            assert_eq!(c.quarantined[0], 0, "quarantine left in {}", c.workload);
             assert!(c.max_overrun <= 2.0, "deadline overrun in {}", c.workload);
             assert_eq!(c.queries, 60);
             // telemetry rides along: one latency sample per query, and
@@ -1060,11 +635,14 @@ mod tests {
             assert!(c.latency.max() > 0);
             assert!(c.latency.p50() <= c.latency.p99());
             assert!(c.stages.total() > 0, "no stage time in {}", c.workload);
-            assert_eq!(c.health.panics_recovered, c.panics_recovered);
         }
         assert!(report.passed());
         // the plan's panics actually fired somewhere in the suite
-        let panics: u64 = report.cells.iter().map(|c| c.panics_recovered).sum();
+        let panics: u64 = report
+            .cells
+            .iter()
+            .map(|c| c.health[0].panics_recovered)
+            .sum();
         assert!(panics > 0, "fault plan injected no panics");
         // the auditor actually repaired the injected corruption
         let repaired: usize = report.cells.iter().map(|c| c.audit_total.repaired).sum();
@@ -1074,7 +652,7 @@ mod tests {
     #[test]
     fn index_diff_suite_passes_under_builtin_faults() {
         let cfg = tiny_chaos_config();
-        let report = run_index_diff(&cfg);
+        let report = run_chaos(&cfg, Mode::IndexDiff);
         assert_eq!(report.cells.len(), 6, "three Type A + three Type B");
         for c in &report.cells {
             assert_eq!(c.divergent, 0, "answer divergence in {}", c.workload);
@@ -1084,18 +662,26 @@ mod tests {
                 "index grew CS_M in {}",
                 c.workload
             );
-            assert_eq!(c.panics_indexed, c.panics_scanned, "{}", c.workload);
+            assert_eq!(
+                c.health[0].panics_recovered, c.health[1].panics_recovered,
+                "{}",
+                c.workload
+            );
             assert!(c.index_replay_ok, "index rebuilt in {}", c.workload);
             assert_eq!(c.queries, 60);
             assert!(
-                c.index_candidates <= c.scan_candidates,
+                c.candidates[0] <= c.candidates[1],
                 "index examined more candidates overall in {}",
                 c.workload
             );
         }
         assert!(report.passed());
         // the plan's panics actually fired on both sides of the diff
-        let panics: u64 = report.cells.iter().map(|c| c.panics_indexed).sum();
+        let panics: u64 = report
+            .cells
+            .iter()
+            .map(|c| c.health[0].panics_recovered)
+            .sum();
         assert!(panics > 0, "fault plan injected no panics");
         // the injected corruption was caught (identically, per cell above)
         let repaired: usize = report.cells.iter().map(|c| c.audit_total.repaired).sum();
@@ -1109,18 +695,24 @@ mod tests {
     #[test]
     fn repair_diff_suite_passes_under_builtin_faults() {
         let cfg = tiny_chaos_config();
-        let report = run_repair_diff(&cfg);
+        let report = run_chaos(&cfg, Mode::RepairDiff);
         assert_eq!(report.cells.len(), 6, "three Type A + three Type B");
         for c in &report.cells {
             assert_eq!(c.divergent, 0, "answer divergence in {}", c.workload);
             assert_eq!(c.audit_divergent, 0, "audit divergence in {}", c.workload);
+            let oracle = &c.health[1];
             assert_eq!(
-                c.oracle_repair_activity, 0,
+                oracle.repairs_applied + oracle.invalidations_avoided + oracle.repair_fallbacks,
+                0,
                 "invalidate mode ran the repair path in {}",
                 c.workload
             );
-            assert_eq!(c.panics_repair, c.panics_oracle, "{}", c.workload);
-            assert_eq!(c.quarantined_repair, 0, "{}", c.workload);
+            assert_eq!(
+                c.health[0].panics_recovered, oracle.panics_recovered,
+                "{}",
+                c.workload
+            );
+            assert_eq!(c.quarantined[0], 0, "{}", c.workload);
             assert_eq!(c.queries, 60);
         }
         assert!(report.passed());
@@ -1131,7 +723,11 @@ mod tests {
             "repair mode never avoided an invalidation"
         );
         // the plan's panics actually fired on both sides of the diff
-        let panics: u64 = report.cells.iter().map(|c| c.panics_repair).sum();
+        let panics: u64 = report
+            .cells
+            .iter()
+            .map(|c| c.health[0].panics_recovered)
+            .sum();
         assert!(panics > 0, "fault plan injected no panics");
         // the injected corruption was caught (identically, per cell above)
         let repaired: usize = report.cells.iter().map(|c| c.audit_total.repaired).sum();
@@ -1150,38 +746,79 @@ mod tests {
         let dataset = build_dataset(&cfg.scale);
         let plan = build_plan(&cfg.scale);
         let w = &build_type_a_workloads(&dataset, &cfg.scale)[0];
-        let cell = run_chaos_cell(&dataset, w, &plan, &cfg);
+        let cell = run_cell(Mode::Chaos, &dataset, w, &plan, &cfg);
         assert_eq!(cell.divergent, 0);
-        assert_eq!(cell.panics_recovered, 0);
+        assert_eq!(cell.health[0].panics_recovered, 0);
         assert_eq!(cell.exact + cell.degraded, cell.queries);
-        assert!(cell.passed());
+        assert!(cell.passed);
+    }
+
+    #[test]
+    fn unaudited_corruption_is_reported_divergent() {
+        // corrupt a resident entry after every early update and never
+        // audit: wrong answers reach queries and the cell must fail
+        let mut cfg = tiny_chaos_config();
+        cfg.fault_plan = (1..=12)
+            .map(|n| format!("corrupt@{n}:{}", n % 4))
+            .collect::<Vec<_>>()
+            .join(";")
+            .parse()
+            .unwrap();
+        cfg.audit_rate = 0.0;
+        let dataset = build_dataset(&cfg.scale);
+        let plan = build_plan(&cfg.scale);
+        let w = &build_type_a_workloads(&dataset, &cfg.scale)[0];
+        let cell = run_cell(Mode::Chaos, &dataset, w, &plan, &cfg);
+        assert!(cell.divergent > 0, "corruption went unnoticed");
+        assert!(!cell.passed);
+    }
+
+    fn outcome(ids: &[usize], degraded: bool) -> QueryOutcome {
+        QueryOutcome {
+            answer: BitSet::from_indices(ids.iter().copied()),
+            metrics: QueryMetrics {
+                degraded: degraded.then_some(Interrupt::Deadline),
+                ..QueryMetrics::default()
+            },
+        }
+    }
+
+    #[test]
+    fn degraded_answers_must_be_subsets_of_the_other_side() {
+        let exact = outcome(&[1, 2], false);
+        let partial = outcome(&[1], true);
+        let invented = outcome(&[1, 3], true);
+        assert_eq!(classify(&exact, &exact), Verdict::Exact);
+        assert_eq!(classify(&exact, &outcome(&[1], false)), Verdict::Divergent);
+        assert_eq!(classify(&partial, &exact), Verdict::Degraded);
+        assert_eq!(classify(&exact, &partial), Verdict::Degraded);
+        assert_eq!(classify(&invented, &exact), Verdict::Divergent);
+        assert_eq!(classify(&exact, &invented), Verdict::Divergent);
+        assert_eq!(classify(&invented, &partial), Verdict::Degraded);
     }
 
     #[test]
     fn report_json_shape() {
-        let report = ChaosReport {
+        let report = DiffReport {
+            mode: Mode::Chaos,
             fault_plan: "panic-query@1".into(),
             deadline_ms: 250,
-            cells: vec![ChaosCell {
+            cells: vec![DiffCell {
                 workload: "ZZ".into(),
                 queries: 10,
                 updates: 4,
                 exact: 9,
                 degraded: 1,
-                divergent: 0,
                 max_overrun: 0.5,
-                audits: 2,
+                audit_passes: 2,
                 audit_total: AuditReport {
                     sampled: 8,
                     clean: 7,
                     repaired: 1,
                     evicted: 0,
                 },
-                quarantined_final: 0,
-                panics_recovered: 1,
-                latency: HistogramSnapshot::default(),
-                stages: StageSpans::default(),
-                health: HealthSnapshot::default(),
+                passed: true,
+                ..DiffCell::default()
             }],
         };
         let json = report.to_json();

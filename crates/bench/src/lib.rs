@@ -30,10 +30,7 @@ use gc_graph::LabeledGraph;
 use gc_subiso::{Algorithm, MethodM};
 use gc_workload::{generate_type_a, generate_type_b, TypeAConfig, TypeBConfig, Workload};
 
-pub use chaos::{
-    run_chaos, run_index_diff, run_repair_diff, ChaosCell, ChaosConfig, ChaosReport, IndexDiffCell,
-    IndexDiffReport, RepairDiffCell, RepairDiffReport,
-};
+pub use chaos::{run_chaos, ChaosConfig, DiffCell, DiffReport, Mode};
 pub use netchaos::{run_net_chaos, NetChaosConfig, NetChaosReport, StormTally};
 pub use report::Table;
 pub use subiso_bench::{run_subiso_bench, SubisoBenchResult};

@@ -38,12 +38,12 @@ use gc_core::{
 use gc_dataset::ChangeOp;
 use gc_graph::{LabeledGraph, Zipf};
 use gc_server::{serve, CacheClient, CacheService, ClientError, RetryPolicy, ServiceStats};
-use gc_subiso::QueryKind;
+use gc_subiso::{quiet_injected_panics, QueryKind};
 use gc_telemetry::{Histogram, HistogramSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::chaos::{latency_json, spans_json, with_quiet_panics};
+use crate::chaos::{latency_json, spans_json};
 use crate::{build_dataset, build_type_a_workloads, Scale};
 
 /// Queries each client of a ramp level issues (kept small: the sweep adds
@@ -473,22 +473,20 @@ pub fn run_net_chaos(cfg: &NetChaosConfig) -> NetChaosReport {
     let mut oracle = GraphCachePlus::new(oracle_config, dataset.clone());
     let truth1: Vec<Vec<u64>> = pool.iter().map(|q| ids_of(&mut oracle, q, kind)).collect();
 
-    let (storm1, updates, audit, audit_after, storm2, ramp) = with_quiet_panics(|| {
-        let storm1 = storm(addr, &pool, &truth1, kind, cfg, cfg.scale.seed ^ 0x51);
-        let updates = run_updates(addr, &mut oracle, cfg);
-        let mut driver = CacheClient::connect(addr);
-        let audit = audit_via(&mut driver, cfg.scale.seed);
-        let audit_after = audit_via(&mut driver, cfg.scale.seed + 1);
-        let truth2: Vec<Vec<u64>> = pool.iter().map(|q| ids_of(&mut oracle, q, kind)).collect();
-        let storm2 = storm(addr, &pool, &truth2, kind, cfg, cfg.scale.seed ^ 0x52);
-        // post-audit ramp: sweep offered load with retries off, so shed
-        // requests surface as explicit Overloaded instead of retry noise
-        let ramp: Vec<RampLevel> = [1, cfg.clients, cfg.clients * 2]
-            .into_iter()
-            .map(|c| ramp_level(addr, &pool, &truth2, kind, cfg, c, cfg.scale.seed ^ 0x9A))
-            .collect();
-        (storm1, updates, audit, audit_after, storm2, ramp)
-    });
+    quiet_injected_panics();
+    let storm1 = storm(addr, &pool, &truth1, kind, cfg, cfg.scale.seed ^ 0x51);
+    let updates = run_updates(addr, &mut oracle, cfg);
+    let mut driver = CacheClient::connect(addr);
+    let audit = audit_via(&mut driver, cfg.scale.seed);
+    let audit_after = audit_via(&mut driver, cfg.scale.seed + 1);
+    let truth2: Vec<Vec<u64>> = pool.iter().map(|q| ids_of(&mut oracle, q, kind)).collect();
+    let storm2 = storm(addr, &pool, &truth2, kind, cfg, cfg.scale.seed ^ 0x52);
+    // post-audit ramp: sweep offered load with retries off, so shed
+    // requests surface as explicit Overloaded instead of retry noise
+    let ramp: Vec<RampLevel> = [1, cfg.clients, cfg.clients * 2]
+        .into_iter()
+        .map(|c| ramp_level(addr, &pool, &truth2, kind, cfg, c, cfg.scale.seed ^ 0x9A))
+        .collect();
 
     // the scrape goes over the wire like any client would, while the
     // server is still up — this is what CI reconciles against the ledger

@@ -19,13 +19,14 @@
 //!   shared across threads via `Arc`.
 //!
 //! Injection points live in `gc_core::system`; nothing in this module
-//! panics unless a plan says so.
+//! panics unless a plan says so, and then with an [`InjectedFault`]
+//! payload that `gc_subiso::quiet_injected_panics` keeps off stderr.
 
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use gc_subiso::CancelToken;
+use gc_subiso::{CancelToken, InjectedFault};
 
 /// Per-query execution budget. `Default` is unlimited — the paper's
 /// measurement setting, where queries must run to completion.
@@ -332,7 +333,7 @@ impl FaultInjector {
         for fault in &self.plan.faults {
             if let Fault::PanicOnUpdate { nth } = *fault {
                 if nth == n {
-                    panic!("injected fault: panic on update #{n}");
+                    std::panic::panic_any(InjectedFault(format!("panic on update #{n}")));
                 }
             }
         }
@@ -365,7 +366,7 @@ impl FaultInjector {
         for fault in &self.plan.faults {
             if let Fault::PanicOnQuery { nth } = *fault {
                 if nth == n {
-                    panic!("injected fault: panic on query #{n}");
+                    std::panic::panic_any(InjectedFault(format!("panic on query #{n}")));
                 }
             }
         }

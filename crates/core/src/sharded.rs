@@ -691,10 +691,8 @@ mod tests {
             sharded.set_fault_injectors(|i| {
                 (i == 1).then(|| Arc::new(FaultInjector::new("panic-query@1".parse().unwrap())))
             });
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
+            gc_subiso::quiet_injected_panics();
             let out = sharded.execute(&q, QueryKind::Subgraph);
-            std::panic::set_hook(prev);
             assert_eq!(out.answer, expected, "fanout={fanout}");
             assert!(out.metrics.degraded.is_none(), "retry recovered exactly");
             assert_eq!(out.metrics.panics_recovered, 1);
@@ -725,10 +723,8 @@ mod tests {
                 ))
             })
         });
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+        gc_subiso::quiet_injected_panics();
         let first = sharded.execute_deadline(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
-        std::panic::set_hook(prev);
         // the double panic resolved through the shard's own baseline
         // fallback, so the answer is still exact — and the shard is now
         // failed over at the routing layer

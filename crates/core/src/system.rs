@@ -49,7 +49,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gc_dataset::{ChangeLog, ChangeOp, DatasetError, GraphId, GraphStore, LogAnalyzer, LogCursor};
+use gc_dataset::{
+    ChangeLog, ChangeOp, DatasetError, GraphId, GraphStore, LogAnalyzer, LogCursor, RetroAnalyzer,
+};
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::{Interrupt, QueryKind};
 use gc_telemetry::{Stage, StageSpans};
@@ -63,7 +65,7 @@ use crate::policy;
 use crate::processor::{discover_hits_budgeted, EntryRef};
 use crate::pruner::{prune, Shortcut};
 pub use crate::runtime::{baseline_execute, QueryOutcome};
-use crate::validator::{self, MaintenanceOutcome};
+use crate::validator::{self, KeepRule, MaintenanceOutcome};
 use crate::window::Window;
 
 /// Everything one consistency-maintenance pass reports back: its wall
@@ -185,28 +187,7 @@ impl GraphCachePlus {
             // dataset untouched and the operation can simply be retried
             inj.before_update();
         }
-        let result = match op {
-            ChangeOp::Add(g) => {
-                let id = self.store.add_graph(g);
-                self.log.append(id, gc_dataset::OpType::Add);
-                Ok(id)
-            }
-            ChangeOp::Del(id) => {
-                self.store.delete(id)?;
-                self.log.append(id, gc_dataset::OpType::Del);
-                Ok(id)
-            }
-            ChangeOp::Ua { id, u, v } => {
-                self.store.add_edge(id, u, v)?;
-                self.log.append_edge(id, gc_dataset::OpType::Ua, u, v);
-                Ok(id)
-            }
-            ChangeOp::Ur { id, u, v } => {
-                self.store.remove_edge(id, u, v)?;
-                self.log.append_edge(id, gc_dataset::OpType::Ur, u, v);
-                Ok(id)
-            }
-        };
+        let result = op.apply(&mut self.store, &mut self.log);
         if result.is_ok() {
             if let Some(bit) = self.injector.as_ref().and_then(|i| i.after_update()) {
                 self.corrupt_one_entry(bit);
@@ -287,84 +268,32 @@ impl GraphCachePlus {
     /// bits before judging an entry's claims). Idempotent when the log has
     /// not moved.
     ///
-    /// Under [`MaintenanceMode::Invalidate`] this is the paper's behavior:
-    /// EVI purges, CON/CON-R clear every validity bit Algorithm 2 cannot
-    /// prove intact. Under [`MaintenanceMode::Repair`] the same keep
-    /// decision instead classifies each (entry, touched graph) pair as
-    /// Unaffected / LocalRepair / Invalidate (see
-    /// [`validator::refresh_entry_repair`]), splicing affected answer bits
-    /// back to ground truth in place where the per-pass test budget allows.
-    /// The tally lands in the returned [`MaintenanceResult`] and the shared
+    /// EVI purges; CON and CON-R hand their keep rule (Algorithm 2's
+    /// counters, or the net effects) to [`Self::refresh_entries`]. The
+    /// tally lands in the returned [`MaintenanceResult`] and the shared
     /// health counters.
     fn maintain_consistency(&mut self) -> MaintenanceResult {
         let mut res = MaintenanceResult::default();
         if self.log.changed_since(self.cursor) {
             let t = Instant::now();
-            let repair = self.config.maintenance == MaintenanceMode::Repair
-                && self.config.model != CacheModel::Evi;
-            let matcher = self.config.internal_matcher;
-            let mut budget = self.config.repair_test_budget;
-            match self.config.model {
+            let records = self.log.records_since(self.cursor);
+            res.outcome = match self.config.model {
                 CacheModel::Evi => {
                     self.cache.clear();
                     self.window.clear();
+                    MaintenanceOutcome::default()
                 }
-                CacheModel::Con => {
-                    let counters = LogAnalyzer::analyze(self.log.records_since(self.cursor));
-                    if repair {
-                        let mut out = validator::refresh_all_repair(
-                            self.cache.iter_mut(),
-                            &counters,
-                            &self.store,
-                            matcher,
-                            &mut budget,
-                        );
-                        out.merge(&validator::refresh_all_repair(
-                            self.window.iter_mut(),
-                            &counters,
-                            &self.store,
-                            matcher,
-                            &mut budget,
-                        ));
-                        res.outcome = out;
-                    } else {
-                        let span = self.store.id_span();
-                        validator::refresh_all(self.cache.iter_mut(), &counters, span);
-                        validator::refresh_all(self.window.iter_mut(), &counters, span);
-                    }
-                }
-                CacheModel::ConRetro => {
-                    let effects =
-                        gc_dataset::RetroAnalyzer::analyze(self.log.records_since(self.cursor));
-                    if repair {
-                        let mut out = validator::refresh_all_repair_retro(
-                            self.cache.iter_mut(),
-                            &effects,
-                            &self.store,
-                            matcher,
-                            &mut budget,
-                        );
-                        out.merge(&validator::refresh_all_repair_retro(
-                            self.window.iter_mut(),
-                            &effects,
-                            &self.store,
-                            matcher,
-                            &mut budget,
-                        ));
-                        res.outcome = out;
-                    } else {
-                        let span = self.store.id_span();
-                        validator::refresh_all_retro(self.cache.iter_mut(), &effects, span);
-                        validator::refresh_all_retro(self.window.iter_mut(), &effects, span);
-                    }
-                }
-            }
+                CacheModel::Con => self.refresh_entries(&LogAnalyzer::analyze(records)),
+                CacheModel::ConRetro => self.refresh_entries(&RetroAnalyzer::analyze(records)),
+            };
             self.cursor = self.log.head();
             let elapsed = t.elapsed();
             if self.config.model != CacheModel::Evi {
                 res.validation_time = elapsed;
             }
             res.overhead = elapsed;
+            let repair = self.config.maintenance == MaintenanceMode::Repair
+                && self.config.model != CacheModel::Evi;
             if repair && self.config.trace {
                 res.repair_nanos = elapsed.as_nanos() as u64;
             }
@@ -381,6 +310,26 @@ impl GraphCachePlus {
             }
         }
         res
+    }
+
+    /// Refreshes cache and window under `rule` in the configured
+    /// maintenance mode: under [`MaintenanceMode::Invalidate`] every bit
+    /// the rule cannot keep is cleared (the paper's behavior); under
+    /// [`MaintenanceMode::Repair`] it is spliced back to ground truth in
+    /// place where the per-pass test budget allows.
+    fn refresh_entries<R: KeepRule>(&mut self, rule: &R) -> MaintenanceOutcome {
+        let entries = self.cache.iter_mut().chain(self.window.iter_mut());
+        match self.config.maintenance {
+            MaintenanceMode::Repair => {
+                let mut budget = self.config.repair_test_budget;
+                let matcher = self.config.internal_matcher;
+                validator::refresh_all_repair(entries, rule, &self.store, matcher, &mut budget)
+            }
+            MaintenanceMode::Invalidate => {
+                validator::refresh_all(entries, rule, self.store.id_span());
+                MaintenanceOutcome::default()
+            }
+        }
     }
 
     /// Executes a query through the full GC+ pipeline under the
@@ -1012,16 +961,6 @@ mod tests {
         assert_eq!(gc.occupancy(), (2, 0));
     }
 
-    /// Runs `f` with the default panic hook silenced (for tests that
-    /// deliberately contain panics).
-    fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let r = f();
-        std::panic::set_hook(prev);
-        r
-    }
-
     #[test]
     fn exhausted_test_cap_degrades_without_admission() {
         let mut gc = GraphCachePlus::new(config(), dataset());
@@ -1059,7 +998,8 @@ mod tests {
         )));
         let q = g(vec![0, 0], &[(0, 1)]);
         let oracle = baseline_execute(gc.store(), &gc.config().method, &q, QueryKind::Subgraph);
-        let out = quiet_panics(|| gc.execute_isolated(&q, QueryKind::Subgraph));
+        gc_subiso::quiet_injected_panics();
+        let out = gc.execute_isolated(&q, QueryKind::Subgraph);
         assert_eq!(
             out.answer, oracle.answer,
             "retry produced the oracle answer"
@@ -1075,10 +1015,10 @@ mod tests {
         gc.set_fault_injector(Arc::new(FaultInjector::new(
             "panic-update@1".parse().unwrap(),
         )));
-        let added = quiet_panics(|| {
-            gc.apply_isolated(ChangeOp::Add(g(vec![0, 0, 0], &[(0, 1)])))
-                .unwrap()
-        });
+        gc_subiso::quiet_injected_panics();
+        let added = gc
+            .apply_isolated(ChangeOp::Add(g(vec![0, 0, 0], &[(0, 1)])))
+            .unwrap();
         assert_eq!(added, 4);
         assert_eq!(gc.health_snapshot().panics_recovered, 1);
         // the retried ADD is fully visible to queries
@@ -1196,7 +1136,8 @@ mod tests {
         )));
         let q = g(vec![0, 0], &[(0, 1)]);
         let oracle = baseline_execute(gc.store(), &gc.config().method, &q, QueryKind::Subgraph);
-        let out = quiet_panics(|| gc.execute_isolated(&q, QueryKind::Subgraph));
+        gc_subiso::quiet_injected_panics();
+        let out = gc.execute_isolated(&q, QueryKind::Subgraph);
         assert_eq!(out.answer, oracle.answer);
         assert!(out.metrics.degraded.is_none(), "baseline answers are exact");
         assert_eq!(out.metrics.panics_recovered, 2);

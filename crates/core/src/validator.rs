@@ -1,4 +1,5 @@
-//! The Cache Validator — Algorithm 2 (CON) and the EVI purge.
+//! The Cache Validator — Algorithm 2 (CON), its retrospective variant
+//! (CON-R), and the EVI purge.
 //!
 //! On each query arrival the Dataset Manager checks whether the dataset
 //! changed since the cache last synchronized. If so:
@@ -8,7 +9,16 @@
 //! * **CON** runs Algorithm 1 (log → per-graph counters, in `gc-dataset`)
 //!   and then Algorithm 2 per cached entry: extend `CGvalid` with `false`
 //!   for newly assigned ids, then for each touched graph `i` keep the bit
-//!   only in the two provably-safe cases, else clear it.
+//!   only in the two provably-safe cases;
+//! * **CON-R** (the paper's §8 future-work item) does the same with the
+//!   per-graph *net* edge delta instead of the counters, so changes that
+//!   cancel out keep every bit.
+//!
+//! CON and CON-R differ only in the keep decision, so both are a
+//! [`KeepRule`] fed to one maintenance loop. A bit the rule cannot keep
+//! is *resolved* in one of two ways: [`refresh_all`] clears it (the
+//! paper's invalidation), [`refresh_all_repair`] splices it back to ground
+//! truth in place where that is cheap (delta repair).
 //!
 //! ### Polarity and the supergraph dual
 //!
@@ -26,7 +36,8 @@
 //! this dual "for space reason"; it is required for correctness as soon as
 //! supergraph queries are cached, and tests exercise it.
 
-use gc_dataset::{GraphStore, NetEffect, NetEffects, OpCounters};
+use gc_dataset::{GraphId, GraphStore, NetEffect, NetEffects, OpCounters};
+use gc_subiso::filter::signature_may_contain;
 use gc_subiso::{Algorithm, QueryKind};
 
 use crate::entry::CachedQuery;
@@ -58,151 +69,96 @@ impl MaintenanceOutcome {
     }
 }
 
-/// Refreshes one entry's `CGvalid` per Algorithm 2.
-///
-/// `id_span` is the dataset's current `max_id + 1` (`m + 1` in the
-/// paper's pseudocode).
-pub fn refresh_entry(entry: &mut CachedQuery, counters: &OpCounters, id_span: usize) {
-    // Lines 4–6: extend CGvalid with false bits for newly added graphs.
-    // BitSet::extend_to allocates zero (false) bits, which is exactly the
-    // required semantics; reads past the end are false either way.
-    entry.cg_valid.extend_to(id_span);
+/// A consistency model's keep decision for one batch of changes.
+pub trait KeepRule {
+    /// Graphs touched by at least one change, in any order.
+    fn touched_ids(&self) -> Vec<GraphId>;
 
-    // Lines 7–19: apply the per-graph counters.
-    for i in counters.touched() {
-        if !entry.cg_valid.get(i) {
-            continue; // already invalid; nothing to preserve
-        }
-        let answered = entry.answer.get(i);
-        let keep = match entry.kind {
-            QueryKind::Subgraph => {
-                (counters.ua_exclusive(i) && answered) || (counters.ur_exclusive(i) && !answered)
-            }
-            // dual polarity for supergraph-semantics answers
-            QueryKind::Supergraph => {
-                (counters.ur_exclusive(i) && answered) || (counters.ua_exclusive(i) && !answered)
-            }
-        };
-        if !keep {
-            entry.cg_valid.set(i, false);
-        }
-    }
+    /// `true` iff a cached bit about touched graph `id` — the answer bit
+    /// `answered` of an entry of `kind` — provably survived the batch.
+    fn keep(&self, kind: QueryKind, answered: bool, id: GraphId) -> bool;
 }
 
-/// Refreshes a whole collection of entries (cache + window both hold
-/// "cached graphs" in the paper's terminology).
-pub fn refresh_all<'a, I>(entries: I, counters: &OpCounters, id_span: usize)
-where
-    I: IntoIterator<Item = &'a mut CachedQuery>,
-{
-    for e in entries {
-        refresh_entry(e, counters, id_span);
-    }
+/// `true` iff the answer bit survives edges being *added* to its graph:
+/// `q ⊆ G` stays true as `G` grows, and so does `G ⊄ q`. Removing edges
+/// preserves exactly the other bits.
+fn survives_growth(kind: QueryKind, answered: bool) -> bool {
+    answered == (kind == QueryKind::Subgraph)
 }
 
-/// Retrospective variant of Algorithm 2 (the paper's §8 future-work item,
-/// CON-R): instead of per-category counters, the per-graph **net edge
-/// delta** decides. Changes that cancelled out preserve *all* validity;
-/// residual additions/removals behave like UA/UR-exclusive; everything
-/// else invalidates. Strictly at least as much validity survives as under
-/// [`refresh_entry`] — property-tested in `tests/retro.rs`.
-pub fn refresh_entry_retro(entry: &mut CachedQuery, effects: &NetEffects, id_span: usize) {
-    entry.cg_valid.extend_to(id_span);
-    for i in effects.touched() {
-        if !entry.cg_valid.get(i) {
-            continue;
-        }
-        let effect = effects.get(i).expect("touched implies present");
-        let answered = entry.answer.get(i);
-        let keep = match effect {
-            NetEffect::Neutral => true,
-            NetEffect::AddOnly => match entry.kind {
-                QueryKind::Subgraph => answered,
-                QueryKind::Supergraph => !answered,
-            },
-            NetEffect::RemoveOnly => match entry.kind {
-                QueryKind::Subgraph => !answered,
-                QueryKind::Supergraph => answered,
-            },
-            NetEffect::Invalidating => false,
-        };
-        if !keep {
-            entry.cg_valid.set(i, false);
-        }
+/// Algorithm 2: keep a bit when every op on the graph was UA (lines
+/// 11–12) or every op was UR (lines 13–14) and the bit's polarity
+/// survives that direction.
+impl KeepRule for OpCounters {
+    fn touched_ids(&self) -> Vec<GraphId> {
+        self.touched().collect()
     }
-}
 
-/// Retrospective refresh over a collection.
-pub fn refresh_all_retro<'a, I>(entries: I, effects: &NetEffects, id_span: usize)
-where
-    I: IntoIterator<Item = &'a mut CachedQuery>,
-{
-    for e in entries {
-        refresh_entry_retro(e, effects, id_span);
-    }
-}
-
-/// Delta-impact classification of one (entry, touched graph) pair, then
-/// action. This is the repair-mode core shared by the CON and CON-R
-/// variants; `keep` is the model's Algorithm-2 keep decision.
-///
-/// * **Unaffected** — `keep` is true: the bit is provably intact and is
-///   left strictly untouched (byte-identical to invalidate mode, so even a
-///   corrupted-but-kept bit stays comparable across modes);
-/// * **LocalRepair** — the bit would be invalidated, but the single
-///   affected answer bit is spliced back to ground truth in place: a
-///   signature disproof settles it for free, otherwise one bounded SI test
-///   recomputes it; validity is *kept* either way;
-/// * **Invalidate** — the graph is dead (its id can never re-enter a
-///   candidate set, so clearing is free), or the per-pass repair test
-///   budget ran dry (`repair_fallbacks`).
-fn repair_with_keep(
-    entry: &mut CachedQuery,
-    touched: impl Iterator<Item = usize>,
-    keep: impl Fn(&CachedQuery, usize) -> bool,
-    store: &GraphStore,
-    matcher: Algorithm,
-    budget: &mut u64,
-    outcome: &mut MaintenanceOutcome,
-) {
-    entry.cg_valid.extend_to(store.id_span());
-    for i in touched {
-        if !entry.cg_valid.get(i) {
-            continue; // already invalid; nothing to preserve
-        }
-        if keep(entry, i) {
-            continue; // Unaffected: Algorithm 2 proves the bit intact
-        }
-        let Some(graph) = store.get(i) else {
-            // deleted graph: clearing the bit is free and final
-            entry.cg_valid.set(i, false);
-            continue;
-        };
-        let disproved = match entry.kind {
-            QueryKind::Subgraph => !gc_subiso::filter::signature_may_contain(
-                entry.graph.signature(),
-                graph.signature(),
-            ),
-            QueryKind::Supergraph => !gc_subiso::filter::signature_may_contain(
-                graph.signature(),
-                entry.graph.signature(),
-            ),
-        };
-        let truth = if disproved {
-            false
-        } else if *budget > 0 {
-            *budget -= 1;
-            outcome.repair_tests += 1;
-            let m = matcher.matcher();
-            match entry.kind {
-                QueryKind::Subgraph => m.contains(&entry.graph, graph),
-                QueryKind::Supergraph => m.contains(graph, &entry.graph),
-            }
+    fn keep(&self, kind: QueryKind, answered: bool, id: GraphId) -> bool {
+        if survives_growth(kind, answered) {
+            self.ua_exclusive(id)
         } else {
-            // budget dry: fall back to the paper's invalidation
+            self.ur_exclusive(id)
+        }
+    }
+}
+
+/// CON-R: the per-graph net edge delta decides. Changes that cancelled out
+/// keep every bit; residual additions/removals behave like UA/UR-exclusive;
+/// everything else invalidates. At least as much validity survives as
+/// under Algorithm 2 — property-tested in `tests/retro.rs`.
+impl KeepRule for NetEffects {
+    fn touched_ids(&self) -> Vec<GraphId> {
+        self.touched().collect()
+    }
+
+    fn keep(&self, kind: QueryKind, answered: bool, id: GraphId) -> bool {
+        match self.get(id) {
+            Some(NetEffect::Neutral) => true,
+            Some(NetEffect::AddOnly) => survives_growth(kind, answered),
+            Some(NetEffect::RemoveOnly) => !survives_growth(kind, answered),
+            Some(NetEffect::Invalidating) | None => false,
+        }
+    }
+}
+
+/// What repair mode needs to splice a bit back to ground truth.
+struct Repair<'a> {
+    store: &'a GraphStore,
+    matcher: Algorithm,
+    budget: &'a mut u64,
+}
+
+impl Repair<'_> {
+    /// Resolves one bit the keep rule could not vouch for:
+    ///
+    /// * the graph is dead — its id can never re-enter a candidate set, so
+    ///   clearing the bit is free and final;
+    /// * a signature disproof settles the bit as `false` for free;
+    /// * otherwise one bounded SI test recomputes it while the per-pass
+    ///   budget lasts, and the bit is cleared once it has run dry
+    ///   (`repair_fallbacks`).
+    ///
+    /// A repaired bit keeps its validity and now equals ground truth.
+    fn resolve(&mut self, entry: &mut CachedQuery, i: GraphId, outcome: &mut MaintenanceOutcome) {
+        let Some(graph) = self.store.get(i) else {
+            entry.cg_valid.set(i, false);
+            return;
+        };
+        let (pattern, target) = match entry.kind {
+            QueryKind::Subgraph => (&entry.graph, graph),
+            QueryKind::Supergraph => (graph, &entry.graph),
+        };
+        let truth = if !signature_may_contain(pattern.signature(), target.signature()) {
+            false
+        } else if *self.budget > 0 {
+            *self.budget -= 1;
+            outcome.repair_tests += 1;
+            self.matcher.matcher().contains(pattern, target)
+        } else {
             entry.cg_valid.set(i, false);
             outcome.repair_fallbacks += 1;
-            continue;
+            return;
         };
         if entry.answer.get(i) != truth {
             entry.answer.set(i, truth);
@@ -212,120 +168,82 @@ fn repair_with_keep(
     }
 }
 
-/// Repair-mode refresh of one entry under the CON model: Algorithm 2's
-/// keep decision classifies each touched graph, and bits Algorithm 2
-/// would have invalidated are delta-repaired in place where possible.
-/// Every surviving answer bit with a set validity bit equals ground truth,
-/// so query answers are bit-identical to invalidate-mode maintenance
-/// (gated by `experiments chaos --repair-diff`).
-pub fn refresh_entry_repair(
-    entry: &mut CachedQuery,
-    counters: &OpCounters,
-    store: &GraphStore,
-    matcher: Algorithm,
-    budget: &mut u64,
-    outcome: &mut MaintenanceOutcome,
-) {
-    let touched: Vec<usize> = counters.touched().collect();
-    repair_with_keep(
-        entry,
-        touched.into_iter(),
-        |e, i| {
-            let answered = e.answer.get(i);
-            match e.kind {
-                QueryKind::Subgraph => {
-                    (counters.ua_exclusive(i) && answered)
-                        || (counters.ur_exclusive(i) && !answered)
-                }
-                QueryKind::Supergraph => {
-                    (counters.ur_exclusive(i) && answered)
-                        || (counters.ua_exclusive(i) && !answered)
-                }
+/// The one maintenance loop. `id_span` is the dataset's current
+/// `max_id + 1` (`m + 1` in the paper's pseudocode). Touched ids are
+/// visited in ascending order, so a repair budget that runs dry always
+/// spends its tests on the same bits.
+fn refresh<'a, I, R>(
+    entries: I,
+    rule: &R,
+    id_span: usize,
+    mut repair: Option<Repair<'_>>,
+) -> MaintenanceOutcome
+where
+    I: IntoIterator<Item = &'a mut CachedQuery>,
+    R: KeepRule,
+{
+    let mut touched = rule.touched_ids();
+    touched.sort_unstable();
+    let mut outcome = MaintenanceOutcome::default();
+    for entry in entries {
+        // Lines 4–6: extend CGvalid with false bits for newly added graphs.
+        entry.cg_valid.extend_to(id_span);
+        // Lines 7–19: a bit already invalid has nothing to preserve; a
+        // kept bit is left strictly untouched (even a corrupted one, so
+        // the two resolutions stay comparable).
+        for &i in &touched {
+            if !entry.cg_valid.get(i) || rule.keep(entry.kind, entry.answer.get(i), i) {
+                continue;
             }
-        },
-        store,
-        matcher,
-        budget,
-        outcome,
-    );
+            match repair.as_mut() {
+                Some(r) => r.resolve(entry, i, &mut outcome),
+                None => entry.cg_valid.set(i, false),
+            }
+        }
+    }
+    outcome
 }
 
-/// Repair-mode refresh over a collection (CON model).
-pub fn refresh_all_repair<'a, I>(
+/// Refreshes every entry (cache and window both hold "cached graphs" in
+/// the paper's terminology), clearing each validity bit `rule` cannot
+/// keep — the paper's invalidate-only maintenance.
+pub fn refresh_all<'a, I, R>(entries: I, rule: &R, id_span: usize)
+where
+    I: IntoIterator<Item = &'a mut CachedQuery>,
+    R: KeepRule,
+{
+    refresh(entries, rule, id_span, None);
+}
+
+/// Delta-repair refresh: the same keep decision, but each bit `rule`
+/// cannot keep is spliced back to ground truth in place where possible,
+/// spending at most `budget` SI tests. Every surviving answer bit with a
+/// set validity bit equals ground truth, so query answers are
+/// bit-identical to [`refresh_all`] (gated by `experiments chaos
+/// --repair-diff`).
+pub fn refresh_all_repair<'a, I, R>(
     entries: I,
-    counters: &OpCounters,
+    rule: &R,
     store: &GraphStore,
     matcher: Algorithm,
     budget: &mut u64,
 ) -> MaintenanceOutcome
 where
     I: IntoIterator<Item = &'a mut CachedQuery>,
+    R: KeepRule,
 {
-    let mut outcome = MaintenanceOutcome::default();
-    for e in entries {
-        refresh_entry_repair(e, counters, store, matcher, budget, &mut outcome);
-    }
-    outcome
-}
-
-/// Repair-mode refresh of one entry under the CON-R model: the
-/// retrospective net-effect keep decision, with the same repair core.
-pub fn refresh_entry_repair_retro(
-    entry: &mut CachedQuery,
-    effects: &NetEffects,
-    store: &GraphStore,
-    matcher: Algorithm,
-    budget: &mut u64,
-    outcome: &mut MaintenanceOutcome,
-) {
-    let touched: Vec<usize> = effects.touched().collect();
-    repair_with_keep(
-        entry,
-        touched.into_iter(),
-        |e, i| {
-            let answered = e.answer.get(i);
-            match effects.get(i).expect("touched implies present") {
-                NetEffect::Neutral => true,
-                NetEffect::AddOnly => match e.kind {
-                    QueryKind::Subgraph => answered,
-                    QueryKind::Supergraph => !answered,
-                },
-                NetEffect::RemoveOnly => match e.kind {
-                    QueryKind::Subgraph => !answered,
-                    QueryKind::Supergraph => answered,
-                },
-                NetEffect::Invalidating => false,
-            }
-        },
+    let repair = Repair {
         store,
         matcher,
         budget,
-        outcome,
-    );
-}
-
-/// Repair-mode refresh over a collection (CON-R model).
-pub fn refresh_all_repair_retro<'a, I>(
-    entries: I,
-    effects: &NetEffects,
-    store: &GraphStore,
-    matcher: Algorithm,
-    budget: &mut u64,
-) -> MaintenanceOutcome
-where
-    I: IntoIterator<Item = &'a mut CachedQuery>,
-{
-    let mut outcome = MaintenanceOutcome::default();
-    for e in entries {
-        refresh_entry_repair_retro(e, effects, store, matcher, budget, &mut outcome);
-    }
-    outcome
+    };
+    refresh(entries, rule, store.id_span(), Some(repair))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gc_dataset::{ChangeRecord, LogAnalyzer, OpType};
+    use gc_dataset::{ChangeRecord, LogAnalyzer, OpType, RetroAnalyzer};
     use gc_graph::{BitSet, LabeledGraph};
 
     fn rec(graph_id: usize, op: OpType) -> ChangeRecord {
@@ -352,8 +270,7 @@ mod tests {
         let mut pos = entry(QueryKind::Subgraph, &[2], 4);
         let mut neg = entry(QueryKind::Subgraph, &[], 4);
         let c = LogAnalyzer::analyze(&[rec(2, OpType::Ua), rec(2, OpType::Ua)]);
-        refresh_entry(&mut pos, &c, 4);
-        refresh_entry(&mut neg, &c, 4);
+        refresh_all([&mut pos, &mut neg], &c, 4);
         assert!(pos.cg_valid.get(2), "q ⊆ G2 unaffected by adding edges");
         assert!(!neg.cg_valid.get(2), "q ⊄ G2 may flip when edges appear");
         // untouched graphs keep validity
@@ -365,8 +282,7 @@ mod tests {
         let mut pos = entry(QueryKind::Subgraph, &[1], 3);
         let mut neg = entry(QueryKind::Subgraph, &[], 3);
         let c = LogAnalyzer::analyze(&[rec(1, OpType::Ur)]);
-        refresh_entry(&mut pos, &c, 3);
-        refresh_entry(&mut neg, &c, 3);
+        refresh_all([&mut pos, &mut neg], &c, 3);
         assert!(!pos.cg_valid.get(1), "q ⊆ G1 may break when edges vanish");
         assert!(neg.cg_valid.get(1), "q ⊄ G1 unaffected by removing edges");
     }
@@ -376,8 +292,7 @@ mod tests {
         let mut pos = entry(QueryKind::Subgraph, &[0], 1);
         let mut neg = entry(QueryKind::Subgraph, &[], 1);
         let c = LogAnalyzer::analyze(&[rec(0, OpType::Ua), rec(0, OpType::Ur)]);
-        refresh_entry(&mut pos, &c, 1);
-        refresh_entry(&mut neg, &c, 1);
+        refresh_all([&mut pos, &mut neg], &c, 1);
         assert!(!pos.cg_valid.get(0));
         assert!(!neg.cg_valid.get(0));
     }
@@ -387,7 +302,7 @@ mod tests {
         // timeline mirrors Figure 2: DEL G0, ADD G4 (fresh id 4)
         let mut e = entry(QueryKind::Subgraph, &[0, 2], 4);
         let c = LogAnalyzer::analyze(&[rec(0, OpType::Del), rec(4, OpType::Add)]);
-        refresh_entry(&mut e, &c, 5);
+        refresh_all([&mut e], &c, 5);
         assert!(!e.cg_valid.get(0), "deleted graph knowledge dies");
         assert!(!e.cg_valid.get(4), "new graph unknown to old query");
         assert!(e.cg_valid.get(1) && e.cg_valid.get(2) && e.cg_valid.get(3));
@@ -399,16 +314,14 @@ mod tests {
         let mut pos_ur = entry(QueryKind::Supergraph, &[1], 3);
         let mut neg_ur = entry(QueryKind::Supergraph, &[], 3);
         let c_ur = LogAnalyzer::analyze(&[rec(1, OpType::Ur)]);
-        refresh_entry(&mut pos_ur, &c_ur, 3);
-        refresh_entry(&mut neg_ur, &c_ur, 3);
+        refresh_all([&mut pos_ur, &mut neg_ur], &c_ur, 3);
         assert!(pos_ur.cg_valid.get(1), "G ⊆ q survives G shrinking");
         assert!(!neg_ur.cg_valid.get(1), "G ⊄ q may flip when G shrinks");
 
         let mut pos_ua = entry(QueryKind::Supergraph, &[1], 3);
         let mut neg_ua = entry(QueryKind::Supergraph, &[], 3);
         let c_ua = LogAnalyzer::analyze(&[rec(1, OpType::Ua)]);
-        refresh_entry(&mut pos_ua, &c_ua, 3);
-        refresh_entry(&mut neg_ua, &c_ua, 3);
+        refresh_all([&mut pos_ua, &mut neg_ua], &c_ua, 3);
         assert!(!pos_ua.cg_valid.get(1), "G ⊆ q may break when G grows");
         assert!(neg_ua.cg_valid.get(1), "G ⊄ q survives G growing");
     }
@@ -420,7 +333,7 @@ mod tests {
         // UA-exclusive + positive answer would keep it — but it's already
         // invalid (CGvalid.get(i) is part of Algorithm 2's keep condition)
         let c = LogAnalyzer::analyze(&[rec(0, OpType::Ua)]);
-        refresh_entry(&mut e, &c, 2);
+        refresh_all([&mut e], &c, 2);
         assert!(!e.cg_valid.get(0));
         assert!(e.cg_valid.get(1));
     }
@@ -433,7 +346,7 @@ mod tests {
         let mut g_prime = entry(QueryKind::Subgraph, &[2, 3], 4);
 
         let batch1 = LogAnalyzer::analyze(&[rec(4, OpType::Add), rec(3, OpType::Ur)]);
-        refresh_entry(&mut g_prime, &batch1, 5);
+        refresh_all([&mut g_prime], &batch1, 5);
         // paper state at T2: CGvalid = {0,1,2} (G3 lost: positive answer + UR;
         // G4 unknown)
         assert_eq!(
@@ -442,7 +355,7 @@ mod tests {
         );
 
         let batch2 = LogAnalyzer::analyze(&[rec(0, OpType::Del), rec(1, OpType::Ua)]);
-        refresh_entry(&mut g_prime, &batch2, 5);
+        refresh_all([&mut g_prime], &batch2, 5);
         // paper state at T4 (row for g′): valid only on G2
         // (G0 deleted; G1 was a negative answer hit by UA)
         assert_eq!(g_prime.cg_valid.iter_ones().collect::<Vec<_>>(), vec![2]);
@@ -450,7 +363,6 @@ mod tests {
 
     #[test]
     fn retro_neutral_preserves_everything() {
-        use gc_dataset::RetroAnalyzer;
         // UA then UR of the same edge: Algorithm 2 invalidates, CON-R keeps
         let mut plain = entry(QueryKind::Subgraph, &[0], 2);
         let mut retro = entry(QueryKind::Subgraph, &[0], 2);
@@ -458,15 +370,14 @@ mod tests {
             ChangeRecord::edge(0, OpType::Ua, 1, 2),
             ChangeRecord::edge(0, OpType::Ur, 1, 2),
         ];
-        refresh_entry(&mut plain, &LogAnalyzer::analyze(&records), 2);
-        refresh_entry_retro(&mut retro, &RetroAnalyzer::analyze(&records), 2);
+        refresh_all([&mut plain], &LogAnalyzer::analyze(&records), 2);
+        refresh_all([&mut retro], &RetroAnalyzer::analyze(&records), 2);
         assert!(!plain.cg_valid.get(0), "CON loses the oscillated graph");
         assert!(retro.cg_valid.get(0), "CON-R keeps it");
     }
 
     #[test]
     fn retro_residuals_match_polarity_rules() {
-        use gc_dataset::RetroAnalyzer;
         // net add: positive subgraph answers survive, negatives don't
         let records = [
             ChangeRecord::edge(1, OpType::Ua, 0, 1),
@@ -476,25 +387,22 @@ mod tests {
         let eff = RetroAnalyzer::analyze(&records);
         let mut pos = entry(QueryKind::Subgraph, &[1], 2);
         let mut neg = entry(QueryKind::Subgraph, &[], 2);
-        refresh_entry_retro(&mut pos, &eff, 2);
-        refresh_entry_retro(&mut neg, &eff, 2);
+        refresh_all([&mut pos, &mut neg], &eff, 2);
         assert!(pos.cg_valid.get(1));
         assert!(!neg.cg_valid.get(1));
         // supergraph dual flips
         let mut sup_pos = entry(QueryKind::Supergraph, &[1], 2);
         let mut sup_neg = entry(QueryKind::Supergraph, &[], 2);
-        refresh_entry_retro(&mut sup_pos, &eff, 2);
-        refresh_entry_retro(&mut sup_neg, &eff, 2);
+        refresh_all([&mut sup_pos, &mut sup_neg], &eff, 2);
         assert!(!sup_pos.cg_valid.get(1));
         assert!(sup_neg.cg_valid.get(1));
     }
 
     #[test]
     fn retro_structural_still_invalidates() {
-        use gc_dataset::RetroAnalyzer;
         let mut e = entry(QueryKind::Subgraph, &[0], 2);
         let eff = RetroAnalyzer::analyze(&[ChangeRecord::structural(0, OpType::Del)]);
-        refresh_entry_retro(&mut e, &eff, 2);
+        refresh_all([&mut e], &eff, 2);
         assert!(!e.cg_valid.get(0));
         assert!(e.cg_valid.get(1));
     }
@@ -508,6 +416,16 @@ mod tests {
         LabeledGraph::from_parts(vec![0; n], &edges).unwrap()
     }
 
+    /// Repair-mode refresh of one entry with a test budget.
+    fn repair<R: KeepRule>(
+        e: &mut CachedQuery,
+        rule: &R,
+        store: &GraphStore,
+        budget: &mut u64,
+    ) -> MaintenanceOutcome {
+        refresh_all_repair([e], rule, store, Algorithm::Vf2Plus, budget)
+    }
+
     #[test]
     fn repair_keeps_unaffected_bits_untouched() {
         // UA-exclusive + positive answer: Algorithm 2 keeps — repair mode
@@ -516,15 +434,7 @@ mod tests {
         let mut e = entry(QueryKind::Subgraph, &[0, 1], 2);
         let c = LogAnalyzer::analyze(&[rec(1, OpType::Ua)]);
         let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair(&mut e, &c, &store, &mut budget);
         assert!(e.cg_valid.get(1) && e.answer.get(1));
         assert_eq!(out, MaintenanceOutcome::default(), "kept bits cost nothing");
         assert_eq!(budget, 100);
@@ -539,18 +449,10 @@ mod tests {
         let mut e = entry(QueryKind::Subgraph, &[0, 1], 2);
         let c = LogAnalyzer::analyze(&[rec(0, OpType::Ur)]);
         let mut invalidated = e.clone();
-        refresh_entry(&mut invalidated, &c, 2);
+        refresh_all([&mut invalidated], &c, 2);
         assert!(!invalidated.cg_valid.get(0), "invalidate mode clears");
         let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair(&mut e, &c, &store, &mut budget);
         assert!(e.cg_valid.get(0), "repair mode keeps validity");
         assert!(e.answer.get(0), "q ⊆ G0 still holds");
         assert_eq!(out.invalidations_avoided, 1);
@@ -569,15 +471,7 @@ mod tests {
         e.graph = path(3);
         let c = LogAnalyzer::analyze(&[rec(0, OpType::Ua), rec(0, OpType::Ur)]);
         let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair(&mut e, &c, &store, &mut budget);
         assert!(e.cg_valid.get(0));
         assert!(!e.answer.get(0), "3-path ⊄ 2-path");
         assert_eq!(out.repairs_applied, 1);
@@ -593,15 +487,7 @@ mod tests {
         e.graph = path(5);
         let c = LogAnalyzer::analyze(&[rec(0, OpType::Ua), rec(0, OpType::Ur)]);
         let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair(&mut e, &c, &store, &mut budget);
         assert!(e.cg_valid.get(0));
         assert!(!e.answer.get(0));
         assert_eq!(out.repair_tests, 0, "disproof is free");
@@ -620,19 +506,36 @@ mod tests {
             rec(1, OpType::Ur),
         ]);
         let mut budget = 1;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair(&mut e, &c, &store, &mut budget);
         assert_eq!(budget, 0);
         assert_eq!(out.repair_fallbacks, 1, "one bit hit the dry budget");
         assert_eq!(out.invalidations_avoided, 1, "the other was repaired");
         assert_eq!(e.cg_valid.count_ones(), 1, "exactly one validity bit fell");
+    }
+
+    #[test]
+    fn dry_budget_spends_its_test_on_the_lowest_touched_id() {
+        // every graph saw mixed ops, so every bit needs a repair test; with
+        // one test to spend, counters built independently (each with its
+        // own hash order) must pick the same bit: the lowest id
+        const GRAPHS: usize = 24;
+        let store = store_with(vec![path(3); GRAPHS]);
+        let records: Vec<ChangeRecord> = (0..GRAPHS)
+            .flat_map(|i| [rec(i, OpType::Ua), rec(i, OpType::Ur)])
+            .collect();
+        let survivors: Vec<Vec<usize>> = (0..2)
+            .map(|_| {
+                let c = LogAnalyzer::analyze(&records);
+                let mut e = entry(QueryKind::Subgraph, &[], GRAPHS);
+                let mut budget = 1;
+                let out = repair(&mut e, &c, &store, &mut budget);
+                assert_eq!(out.repair_tests, 1);
+                assert_eq!(out.repair_fallbacks, GRAPHS as u64 - 1);
+                e.cg_valid.iter_ones().collect()
+            })
+            .collect();
+        assert_eq!(survivors[0], vec![0]);
+        assert_eq!(survivors[1], vec![0]);
     }
 
     #[test]
@@ -645,15 +548,7 @@ mod tests {
         let mut e = entry(QueryKind::Subgraph, &[0, 1], 2);
         let c = LogAnalyzer::analyze(&[rec(0, OpType::Del)]);
         let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair(&mut e, &c, &store, &mut budget);
         assert!(
             !e.cg_valid.get(0),
             "dead graph knowledge dies in both modes"
@@ -670,15 +565,7 @@ mod tests {
         e.graph = path(3);
         let c = LogAnalyzer::analyze(&[rec(0, OpType::Ua), rec(0, OpType::Ur)]);
         let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair(&mut e, &c, &store, &mut budget);
         assert!(e.answer.get(0), "2-path ⊆ 3-path spliced in");
         assert!(e.cg_valid.get(0));
         assert_eq!(out.repairs_applied, 1);
@@ -686,7 +573,6 @@ mod tests {
 
     #[test]
     fn repair_retro_neutral_stays_free() {
-        use gc_dataset::RetroAnalyzer;
         let store = store_with(vec![path(3)]);
         let mut e = entry(QueryKind::Subgraph, &[0], 1);
         let records = [
@@ -695,15 +581,7 @@ mod tests {
         ];
         let eff = RetroAnalyzer::analyze(&records);
         let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair_retro(
-            &mut e,
-            &eff,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair(&mut e, &eff, &store, &mut budget);
         assert!(e.cg_valid.get(0), "CON-R keeps the oscillated graph");
         assert_eq!(out, MaintenanceOutcome::default(), "no repair work needed");
     }

@@ -196,8 +196,7 @@ fn audit_verdicts_are_identical_after_injected_corruption() {
 
 #[test]
 fn injected_panics_recover_identically() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    gc_subiso::quiet_injected_panics();
     let dataset = synthetic_aids(&AidsConfig::scaled(40, 13));
     let w = generate_type_a(&dataset, &TypeAConfig::uu(15, 6));
     let (mut indexed, mut scanned) = pair(&dataset);
@@ -212,7 +211,6 @@ fn injected_panics_recover_identically() {
         let truth = baseline_execute(indexed.store(), &oracle_method, q, w.kind);
         assert_eq!(a.answer, truth.answer, "query {i} still exact");
     }
-    std::panic::set_hook(prev);
     assert_eq!(
         indexed.health_snapshot().panics_recovered,
         scanned.health_snapshot().panics_recovered,

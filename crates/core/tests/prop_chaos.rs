@@ -10,28 +10,10 @@ use gc_core::{baseline_execute, FaultInjector, FaultPlan, GcConfig, GraphCachePl
 use gc_dataset::ChangeOp;
 use gc_graph::generate::{bfs_extract, random_connected_graph};
 use gc_graph::LabeledGraph;
-use gc_subiso::{Algorithm, MethodM, QueryKind};
+use gc_subiso::{quiet_injected_panics, Algorithm, MethodM, QueryKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Suppresses the default panic banner for injected faults only; genuine
-/// panics still print. Installed once per test binary.
-fn silence_injected_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.contains("injected fault"));
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
 
 /// Draws one applicable change op against the live store (UA/UR-heavy, as
 /// edge updates are the operations the validity machinery sweats over).
@@ -121,7 +103,7 @@ proptest! {
     /// post-run audit leaves zero quarantined entries.
     #[test]
     fn answers_stay_sound_under_panics_and_cancellation(seed in 0u64..2_000) {
-        silence_injected_panics();
+        quiet_injected_panics();
         let mut rng = StdRng::seed_from_u64(seed);
         let kind = if seed % 2 == 0 { QueryKind::Subgraph } else { QueryKind::Supergraph };
 
@@ -204,7 +186,7 @@ proptest! {
     /// degradation.
     #[test]
     fn health_counters_match_injections(seed in 0u64..500) {
-        silence_injected_panics();
+        quiet_injected_panics();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         let initial: Vec<LabeledGraph> = (0..6)
             .map(|_| random_connected_graph(&mut rng, 6, 2, |r| r.random_range(0..2u16)))

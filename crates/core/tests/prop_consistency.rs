@@ -8,7 +8,7 @@
 //! bit against a recomputed ground truth.
 
 use gc_core::entry::CachedQuery;
-use gc_core::validator::refresh_entry;
+use gc_core::validator::refresh_all;
 use gc_dataset::{ChangeLog, GraphStore, LogAnalyzer, LogCursor, OpType};
 use gc_graph::generate::random_connected_graph;
 use gc_graph::{BitSet, LabeledGraph};
@@ -130,7 +130,7 @@ proptest! {
             }
             let counters = LogAnalyzer::analyze(log.records_since(cursor));
             cursor = log.head();
-            refresh_entry(&mut entry, &counters, store.id_span());
+            refresh_all([&mut entry], &counters, store.id_span());
 
             // every surviving valid bit on a LIVE graph must match the
             // freshly recomputed truth
@@ -163,7 +163,7 @@ proptest! {
         let mut entry = CachedQuery::new(query, QueryKind::Subgraph, answer, store.id_span(), 0);
         let before = entry.cg_valid.clone();
         let counters = LogAnalyzer::analyze(&[]);
-        refresh_entry(&mut entry, &counters, store.id_span());
+        refresh_all([&mut entry], &counters, store.id_span());
         prop_assert_eq!(entry.cg_valid, before);
     }
 }

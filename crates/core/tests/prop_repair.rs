@@ -15,7 +15,7 @@
 //! degraded (partially-invalid) and quarantined entries in the mix.
 
 use gc_core::entry::CachedQuery;
-use gc_core::validator::{refresh_entry_repair, MaintenanceOutcome};
+use gc_core::validator::{refresh_all_repair, MaintenanceOutcome};
 use gc_core::{baseline_execute, GcConfig, GraphCachePlus, MaintenanceMode};
 use gc_dataset::{ChangeLog, ChangeOp, GraphStore, LogAnalyzer, LogCursor, OpType};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
@@ -122,14 +122,13 @@ proptest! {
             let counters = LogAnalyzer::analyze(log.records_since(cursor));
             cursor = log.head();
             let mut budget = u64::MAX;
-            refresh_entry_repair(
-                &mut entry,
+            outcome.merge(&refresh_all_repair(
+                [&mut entry],
                 &counters,
                 &store,
                 Algorithm::Vf2,
                 &mut budget,
-                &mut outcome,
-            );
+            ));
 
             let truth = ground_truth_answer(&query, kind, &store);
             for (id, _) in store.iter_live() {
@@ -172,14 +171,12 @@ proptest! {
         }
         let counters = LogAnalyzer::analyze(log.records_since(LogCursor::default()));
         let mut budget = 0u64;
-        let mut outcome = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut entry,
+        let outcome = refresh_all_repair(
+            [&mut entry],
             &counters,
             &store,
             Algorithm::Vf2,
             &mut budget,
-            &mut outcome,
         );
         prop_assert_eq!(outcome.repair_tests, 0, "zero budget runs zero SI tests");
 

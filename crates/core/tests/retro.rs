@@ -9,7 +9,7 @@
 //!    would keep (and keeps strictly more when changes oscillate).
 
 use gc_core::entry::CachedQuery;
-use gc_core::validator::{refresh_entry, refresh_entry_retro};
+use gc_core::validator::refresh_all;
 use gc_core::{baseline_execute, CacheModel, GcConfig, GraphCachePlus, MaintenanceMode};
 use gc_dataset::{ChangeOp, ChangeRecord, LogAnalyzer, OpType, RetroAnalyzer};
 use gc_graph::generate::random_connected_graph;
@@ -54,8 +54,8 @@ proptest! {
 
         let mut plain = CachedQuery::new(graph.clone(), kind, answer.clone(), span, 0);
         let mut retro = CachedQuery::new(graph, kind, answer, span, 0);
-        refresh_entry(&mut plain, &LogAnalyzer::analyze(&records), span);
-        refresh_entry_retro(&mut retro, &RetroAnalyzer::analyze(&records), span);
+        refresh_all([&mut plain], &LogAnalyzer::analyze(&records), span);
+        refresh_all([&mut retro], &RetroAnalyzer::analyze(&records), span);
 
         prop_assert!(
             plain.cg_valid.is_subset_of(&retro.cg_valid),

@@ -31,6 +31,6 @@ pub mod store;
 pub use analyzer::{LogAnalyzer, OpCounters};
 pub use index::LabelIndex;
 pub use log::{ChangeLog, ChangeOp, ChangeRecord, LogCursor, OpType};
-pub use plan::{ChangePlan, ChangePlanConfig, PlanExecutor, PlannedOp};
+pub use plan::{materialize, ChangePlan, ChangePlanConfig, PlanExecutor, PlannedOp};
 pub use retro::{NetEffect, NetEffects, RetroAnalyzer};
 pub use store::{DatasetError, GraphId, GraphStore};

@@ -8,7 +8,7 @@
 
 use gc_graph::{LabeledGraph, VertexId};
 
-use crate::store::GraphId;
+use crate::store::{DatasetError, GraphId, GraphStore};
 
 /// The four dataset change categories of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,6 +80,38 @@ impl ChangeOp {
             ChangeOp::Del(_) => OpType::Del,
             ChangeOp::Ua { .. } => OpType::Ua,
             ChangeOp::Ur { .. } => OpType::Ur,
+        }
+    }
+
+    /// Applies the operation to `store` and, once it succeeded, appends
+    /// its record to `log`. Returns the affected graph id (for ADD: the
+    /// fresh id).
+    pub fn apply(
+        self,
+        store: &mut GraphStore,
+        log: &mut ChangeLog,
+    ) -> Result<GraphId, DatasetError> {
+        match self {
+            ChangeOp::Add(g) => {
+                let id = store.add_graph(g);
+                log.append(id, OpType::Add);
+                Ok(id)
+            }
+            ChangeOp::Del(id) => {
+                store.delete(id)?;
+                log.append(id, OpType::Del);
+                Ok(id)
+            }
+            ChangeOp::Ua { id, u, v } => {
+                store.add_edge(id, u, v)?;
+                log.append_edge(id, OpType::Ua, u, v);
+                Ok(id)
+            }
+            ChangeOp::Ur { id, u, v } => {
+                store.remove_edge(id, u, v)?;
+                log.append_edge(id, OpType::Ur, u, v);
+                Ok(id)
+            }
         }
     }
 }

@@ -23,7 +23,7 @@ use gc_graph::{LabeledGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::log::{ChangeLog, OpType};
+use crate::log::{ChangeLog, ChangeOp, OpType};
 use crate::store::GraphStore;
 
 /// A planned (not yet materialized) operation.
@@ -187,100 +187,100 @@ impl PlanExecutor {
     }
 
     fn apply_one(&mut self, op: OpType, store: &mut GraphStore, log: &mut ChangeLog) -> bool {
-        match op {
-            OpType::Add => {
-                if self.initial.is_empty() {
-                    return false;
-                }
-                let pick = self.rng.random_range(0..self.initial.len());
-                let id = store.add_graph(self.initial[pick].clone());
-                log.append(id, OpType::Add);
+        match materialize(&mut self.rng, store, &self.initial, op) {
+            Some(change) => {
+                change.apply(store, log).expect("materialized op is valid");
                 true
             }
-            OpType::Del => match self.pick_live(store, |_| true) {
-                Some(id) => {
-                    store.delete(id).expect("picked a live graph");
-                    log.append(id, OpType::Del);
-                    true
-                }
-                None => false,
-            },
-            OpType::Ua => {
-                // pick a live graph with at least one absent edge slot
-                match self.pick_live(store, |g| {
-                    let n = g.vertex_count();
-                    n >= 2 && g.edge_count() < n * (n - 1) / 2
-                }) {
-                    Some(id) => {
-                        let (u, v) = {
-                            let g = store.get(id).expect("live");
-                            self.pick_absent_edge(g)
-                        };
-                        store.add_edge(id, u, v).expect("edge chosen absent");
-                        log.append_edge(id, OpType::Ua, u, v);
-                        true
-                    }
-                    None => false,
-                }
-            }
-            OpType::Ur => match self.pick_live(store, |g| g.edge_count() > 0) {
-                Some(id) => {
-                    let (u, v) = {
-                        let g = store.get(id).expect("live");
-                        let edges: Vec<_> = g.edges().collect();
-                        edges[self.rng.random_range(0..edges.len())]
-                    };
-                    store.remove_edge(id, u, v).expect("edge chosen present");
-                    log.append_edge(id, OpType::Ur, u, v);
-                    true
-                }
-                None => false,
-            },
+            None => false,
         }
     }
+}
 
-    /// Uniformly picks a live graph id satisfying `pred`, with bounded
-    /// rejection sampling followed by an exhaustive fallback.
-    fn pick_live(
-        &mut self,
-        store: &GraphStore,
-        pred: impl Fn(&LabeledGraph) -> bool,
-    ) -> Option<usize> {
-        let span = store.id_span();
-        if span == 0 || store.live_count() == 0 {
-            return None;
-        }
-        for _ in 0..64 {
-            let id = self.rng.random_range(0..span);
-            if let Some(g) = store.get(id) {
-                if pred(g) {
-                    return Some(id);
-                }
+/// Materializes one planned operation against the live store per the
+/// paper's recipe: ADD re-draws a graph of `initial`; DEL, UA and UR pick a
+/// uniformly drawn live graph that can take them, and UA/UR a uniformly
+/// drawn absent/present edge of it. `None` when the category cannot fire
+/// (e.g. UR on an edgeless dataset).
+///
+/// [`PlanExecutor`] and the differential replays that feed one concrete
+/// operation to several caches share this function, so the same seed
+/// draws the same operations everywhere.
+pub fn materialize(
+    rng: &mut StdRng,
+    store: &GraphStore,
+    initial: &[LabeledGraph],
+    op: OpType,
+) -> Option<ChangeOp> {
+    match op {
+        OpType::Add => {
+            if initial.is_empty() {
+                return None;
             }
+            Some(ChangeOp::Add(
+                initial[rng.random_range(0..initial.len())].clone(),
+            ))
         }
-        // rare fallback: scan
-        let candidates: Vec<usize> = store
-            .iter_live()
-            .filter(|(_, g)| pred(g))
-            .map(|(i, _)| i)
-            .collect();
-        if candidates.is_empty() {
-            None
-        } else {
-            Some(candidates[self.rng.random_range(0..candidates.len())])
+        OpType::Del => pick_live(rng, store, |_| true).map(ChangeOp::Del),
+        OpType::Ua => {
+            // a live graph with at least one absent edge slot
+            let id = pick_live(rng, store, |g| {
+                let n = g.vertex_count();
+                n >= 2 && g.edge_count() < n * (n - 1) / 2
+            })?;
+            let (u, v) = pick_absent_edge(rng, store.get(id).expect("picked live"));
+            Some(ChangeOp::Ua { id, u, v })
+        }
+        OpType::Ur => {
+            let id = pick_live(rng, store, |g| g.edge_count() > 0)?;
+            let edges: Vec<_> = store.get(id).expect("picked live").edges().collect();
+            let (u, v) = edges[rng.random_range(0..edges.len())];
+            Some(ChangeOp::Ur { id, u, v })
         }
     }
+}
 
-    /// Uniformly picks an absent (non-)edge of `g`; caller guarantees one
-    /// exists.
-    fn pick_absent_edge(&mut self, g: &LabeledGraph) -> (VertexId, VertexId) {
-        let n = g.vertex_count() as u32;
-        loop {
-            let u = self.rng.random_range(0..n);
-            let v = self.rng.random_range(0..n);
-            if u != v && !g.has_edge(u, v) {
-                return (u, v);
+/// Uniformly picks a live graph id satisfying `pred`, with bounded
+/// rejection sampling followed by an exhaustive fallback.
+fn pick_live(
+    rng: &mut StdRng,
+    store: &GraphStore,
+    pred: impl Fn(&LabeledGraph) -> bool,
+) -> Option<usize> {
+    let span = store.id_span();
+    if span == 0 || store.live_count() == 0 {
+        return None;
+    }
+    for _ in 0..64 {
+        let id = rng.random_range(0..span);
+        if let Some(g) = store.get(id) {
+            if pred(g) {
+                return Some(id);
             }
+        }
+    }
+    // rare fallback: scan
+    let candidates: Vec<usize> = store
+        .iter_live()
+        .filter(|(_, g)| pred(g))
+        .map(|(i, _)| i)
+        .collect();
+    if candidates.is_empty() {
+        None
+    } else {
+        Some(candidates[rng.random_range(0..candidates.len())])
+    }
+}
+
+/// Uniformly picks an absent (non-)edge of `g`; caller guarantees one
+/// exists.
+fn pick_absent_edge(rng: &mut StdRng, g: &LabeledGraph) -> (VertexId, VertexId) {
+    let n = g.vertex_count() as u32;
+    loop {
+        let u = rng.random_range(0..n);
+        let v = rng.random_range(0..n);
+        if u != v && !g.has_edge(u, v) {
+            return (u, v);
         }
     }
 }

@@ -55,15 +55,6 @@ fn ids_of(gc: &mut GraphCachePlus, q: &LabeledGraph, kind: QueryKind) -> Vec<u64
         .collect()
 }
 
-/// Panics inside the server's shards print to stderr unless muted.
-fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let r = f();
-    std::panic::set_hook(prev);
-    r
-}
-
 #[test]
 fn answers_match_oracle_over_loopback() {
     let data = dataset(20, 1);
@@ -307,7 +298,9 @@ fn twice_panicking_shard_serves_baseline_until_audit_clears() {
     let q = query_graph(&data, 80);
     let exact = ids_of(&mut oracle, &q, QueryKind::Subgraph);
 
-    let first = quiet_panics(|| client.query(&q, QueryKind::Subgraph, None)).expect("query");
+    // the shard's injected panics would otherwise print to stderr
+    gc_subiso::quiet_injected_panics();
+    let first = client.query(&q, QueryKind::Subgraph, None).expect("query");
     assert_eq!(first.ids, exact, "shard-level baseline keeps it exact");
     assert_eq!(server.service().unhealthy_shards(), vec![1]);
 

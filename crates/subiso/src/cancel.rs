@@ -22,7 +22,7 @@
 //! never interrupts and costs one relaxed load per checkpoint.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Search nodes expanded between deadline checks inside the backtracking
@@ -157,6 +157,29 @@ impl Default for CancelToken {
     fn default() -> Self {
         CancelToken::unlimited()
     }
+}
+
+/// Panic payload of a deliberately injected fault (fault plans, chaos
+/// drivers, containment tests). Raise it with
+/// `std::panic::panic_any(InjectedFault(..))` so [`quiet_injected_panics`]
+/// can tell it from a genuine bug.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InjectedFault(pub String);
+
+/// Installs, once per process, a panic hook that stays silent for
+/// [`InjectedFault`] payloads — they are *supposed* to panic, and their
+/// banners would drown a report — and hands every other panic to the hook
+/// that was installed before. Idempotent and safe to call from any thread.
+pub fn quiet_injected_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.payload().is::<InjectedFault>() {
+                previous(info);
+            }
+        }));
+    });
 }
 
 #[cfg(test)]

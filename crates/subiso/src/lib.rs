@@ -43,7 +43,7 @@ pub mod parallel;
 pub mod vf2;
 pub mod vf2plus;
 
-pub use cancel::{CancelToken, Interrupt};
+pub use cancel::{quiet_injected_panics, CancelToken, InjectedFault, Interrupt};
 pub use method::{MethodAnswer, MethodM, QueryKind};
 
 use gc_graph::{LabeledGraph, VertexId};

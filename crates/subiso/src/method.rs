@@ -613,7 +613,7 @@ mod tests {
         fn graph(&self, id: usize) -> Option<&LabeledGraph> {
             use std::sync::atomic::Ordering;
             if id == self.panic_id && !self.fired.swap(true, Ordering::SeqCst) {
-                panic!("injected storage fault at id {id}");
+                std::panic::panic_any(crate::InjectedFault(format!("storage fault at id {id}")));
             }
             self.data.get(id)
         }
@@ -632,8 +632,7 @@ mod tests {
         let query = g(vec![0, 0], &[(0, 1)]);
         let m = MethodM::new(Algorithm::Vf2);
         let cands = BitSet::from_indices(0..4);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
+        crate::quiet_injected_panics();
         let r = m.run_budgeted(
             &query,
             QueryKind::Subgraph,
@@ -641,7 +640,6 @@ mod tests {
             &cands,
             CancelToken::unlimited_ref(),
         );
-        std::panic::set_hook(prev);
         assert_eq!(r.interrupted, Some(Interrupt::Panic));
         assert_eq!(r.panics_recovered, 1);
         // the faulty candidate is undecided, the rest were still scanned

@@ -107,15 +107,13 @@ mod tests {
         // item 23 panics exactly once; the retry pass must heal it and the
         // result vector must come back complete and ordered
         let fired = AtomicBool::new(false);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
+        crate::quiet_injected_panics();
         let got = parallel_map_indexed(64, 4, |i| {
             if i == 23 && !fired.swap(true, Ordering::SeqCst) {
-                panic!("injected");
+                std::panic::panic_any(crate::InjectedFault("item 23".into()));
             }
             i * 2
         });
-        std::panic::set_hook(prev);
         let expected: Vec<usize> = (0..64).map(|i| i * 2).collect();
         assert_eq!(got, expected);
         assert!(fired.load(Ordering::SeqCst));

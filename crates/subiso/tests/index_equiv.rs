@@ -16,7 +16,7 @@
 use gc_dataset::{ChangeLog, GraphStore, LabelIndex};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
 use gc_graph::{BitSet, GraphSource, LabeledGraph};
-use gc_subiso::{Algorithm, CancelToken, MethodM, QueryKind};
+use gc_subiso::{quiet_injected_panics, Algorithm, CancelToken, InjectedFault, MethodM, QueryKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -152,7 +152,9 @@ struct PanicOn {
 
 impl GraphSource for PanicOn {
     fn graph(&self, id: usize) -> Option<&LabeledGraph> {
-        assert!(id != self.bomb, "injected graph-access panic");
+        if id == self.bomb {
+            std::panic::panic_any(InjectedFault("graph access".into()));
+        }
         self.graphs.get(id)
     }
     fn id_span(&self) -> usize {
@@ -162,9 +164,7 @@ impl GraphSource for PanicOn {
 
 #[test]
 fn injected_panic_is_contained_identically_by_both_pipelines() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
+    quiet_injected_panics();
     let (store, log, graphs) = build_store(17);
     let idx = LabelIndex::build(&store, &log);
     let mut rng = StdRng::seed_from_u64(17);
@@ -182,7 +182,6 @@ fn injected_panic_is_contained_identically_by_both_pipelines() {
     let folded = m
         .with_prefilter(false)
         .run(&q, QueryKind::Subgraph, &source, &cands);
-    std::panic::set_hook(prev);
 
     assert_eq!(full.panics_recovered, 1);
     assert_eq!(folded.panics_recovered, 1);
